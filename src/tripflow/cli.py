@@ -19,9 +19,9 @@ import numpy as np
 from .clusters import cluster_counts, write_membership
 from .config import ConfigError, PipelineConfig, load_config
 from .evidence import k_sweep, write_rankings
-from .geo import load_tracts
+from .geo import StateSpace, load_tracts
 from .hypotheses import build_catalog
-from .ingest import TransitionCounts, clean_trips, load_clean_trips, load_raw_trips, \
+from .ingest import TransitionCounts, Trip, clean_trips, load_clean_trips, load_raw_trips, \
     transition_counts, write_clean_trips
 from .synth import write_demo_fixture
 from .tensor import build_tensor, load_factors, ntf_decompose, save_factors
@@ -53,14 +53,22 @@ def _ensure_output_dir(cfg: PipelineConfig) -> Path:
     return out
 
 
+def _open_stage(cfg: PipelineConfig, *inputs: str) -> tuple[StateSpace, Path]:
+    """Check the paths a stage needs, load the tracts and create the output directory."""
+    _require(cfg, "tracts", *inputs, "output_dir")
+    return load_tracts(_input_file(cfg.tracts, "tracts file")), _ensure_output_dir(cfg)
+
+
+def _load_cleaned_trips(out: Path) -> list[Trip]:
+    return load_clean_trips(_input_file(out / "trips_clean.csv", "cleaned trips file"))
+
+
 def run_ingest(cfg: PipelineConfig) -> dict:
-    _require(cfg, "tracts", "trips", "output_dir")
-    space = load_tracts(_input_file(cfg.tracts, "tracts file"))
+    space, out = _open_stage(cfg, "trips")
     records, malformed = load_raw_trips(_input_file(cfg.trips, "trips file"))
     trips, tally = clean_trips(records, space, exclude_self_loops=cfg.exclude_self_loops)
     if malformed:
         tally["malformed"] = tally.get("malformed", 0) + malformed
-    out = _ensure_output_dir(cfg)
     write_clean_trips(out / "trips_clean.csv", trips)
     summary = {"accepted": len(trips), "rejected": tally,
                "input_records": len(records) + malformed}
@@ -71,11 +79,8 @@ def run_ingest(cfg: PipelineConfig) -> dict:
 
 
 def run_factorize(cfg: PipelineConfig) -> dict:
-    _require(cfg, "tracts", "output_dir")
-    space = load_tracts(_input_file(cfg.tracts, "tracts file"))
-    out = _ensure_output_dir(cfg)
-    trips = load_clean_trips(_input_file(out / "trips_clean.csv", "cleaned trips file"))
-    tensor = build_tensor(trips, len(space))
+    space, out = _open_stage(cfg)
+    tensor = build_tensor(_load_cleaned_trips(out), len(space))
     factors, trace = ntf_decompose(tensor, cfg.r, cfg.ntf_options())
     save_factors(out, factors, seed=cfg.seed, trace=trace)
     return {"r": cfg.r, "iterations": trace.iterations,
@@ -83,10 +88,8 @@ def run_factorize(cfg: PipelineConfig) -> dict:
 
 
 def run_extract_clusters(cfg: PipelineConfig) -> dict:
-    _require(cfg, "tracts", "output_dir")
-    space = load_tracts(_input_file(cfg.tracts, "tracts file"))
-    out = _ensure_output_dir(cfg)
-    trips = load_clean_trips(_input_file(out / "trips_clean.csv", "cleaned trips file"))
+    space, out = _open_stage(cfg)
+    trips = _load_cleaned_trips(out)
     _input_file(out / "factors_meta.json", "factor files")
     factors = load_factors(out)
     for stale in out.glob("cluster_*"):  # drop leftovers from runs with a larger r
@@ -101,10 +104,8 @@ def run_extract_clusters(cfg: PipelineConfig) -> dict:
 
 
 def run_build_hypotheses(cfg: PipelineConfig) -> dict:
-    _require(cfg, "tracts", "output_dir")
-    space = load_tracts(_input_file(cfg.tracts, "tracts file"))
-    catalog = build_catalog(space, cfg.catalog_config())
-    out = _ensure_output_dir(cfg)
+    space, out = _open_stage(cfg)
+    catalog = build_catalog(space, cfg.catalog)
     with open(out / "catalog_manifest.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("hypothesis,states,nonzeros\n")
         for h in catalog:
@@ -120,11 +121,9 @@ def _load_counts_file(path: Path, size: int) -> TransitionCounts:
 
 
 def run_rank(cfg: PipelineConfig) -> dict:
-    _require(cfg, "tracts", "output_dir")
-    space = load_tracts(_input_file(cfg.tracts, "tracts file"))
-    out = _ensure_output_dir(cfg)
-    trips = load_clean_trips(_input_file(out / "trips_clean.csv", "cleaned trips file"))
-    catalog = build_catalog(space, cfg.catalog_config())
+    space, out = _open_stage(cfg)
+    trips = _load_cleaned_trips(out)
+    catalog = build_catalog(space, cfg.catalog)
 
     count_sets: list[tuple[str, TransitionCounts]] = [
         ("overall", transition_counts(trips, len(space)))]
@@ -144,34 +143,42 @@ def run_rank(cfg: PipelineConfig) -> dict:
             "k_grid": list(cfg.k_grid), "hypotheses": len(catalog)}
 
 
-_STAGES = (("ingest", run_ingest), ("factorize", run_factorize),
-           ("extract-clusters", run_extract_clusters),
-           ("build-hypotheses", run_build_hypotheses), ("rank", run_rank))
+_STAGES = {"ingest": run_ingest, "factorize": run_factorize,
+           "extract-clusters": run_extract_clusters,
+           "build-hypotheses": run_build_hypotheses, "rank": run_rank}
+
+
+def _synth(cfg: PipelineConfig) -> dict:
+    _require(cfg, "output_dir")
+    return write_demo_fixture(_ensure_output_dir(cfg), seed=cfg.seed)
+
+
+def _run(name: str, stage, cfg: PipelineConfig):
+    """Run one stage; any failure other than a configuration error becomes StageError(name)."""
+    try:
+        return stage(cfg)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    results = {}
-    for name, stage in _STAGES:
-        try:
-            results[name] = stage(cfg)
-        except (ConfigError, StageError):
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-    return results
+    return {name: _run(name, stage, cfg) for name, stage in _STAGES.items()}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    defaults = PipelineConfig()
     parser.add_argument("--config", type=Path, help="INI config file")
     parser.add_argument("--tracts", type=Path, help="tracts CSV path")
     parser.add_argument("--trips", type=Path, help="raw trips CSV path")
     parser.add_argument("--output-dir", type=Path, help="stage artifact directory")
-    parser.add_argument("--seed", type=int, help="random seed (default 42)")
-    parser.add_argument("--r", type=int, help="number of components (default 7)")
-    parser.add_argument("--n", type=int, help="top-N selection size (default 10)")
+    parser.add_argument("--seed", type=int, help=f"random seed (default {defaults.seed})")
+    parser.add_argument("--r", type=int, help=f"number of components (default {defaults.r})")
+    parser.add_argument("--n", type=int, help=f"top-N selection size (default {defaults.n})")
     parser.add_argument("--k", type=float, action="append",
-                        help="concentration value; repeat for a grid "
-                             "(default 0,1,5,10,50,100)")
+                        help="concentration value; repeat for a grid (default "
+                             + ",".join(f"{k:g}" for k in defaults.k_grid) + ")")
     parser.add_argument("--include-self-loops", action="store_true",
                         help="keep rides that start and end in the same tract")
 
@@ -197,44 +204,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {"tracts": args.tracts, "trips": args.trips,
-                 "output_dir": args.output_dir, "seed": args.seed,
-                 "r": args.r, "n": args.n}
-    if args.k:
-        overrides["k_grid"] = tuple(args.k)
-    if args.include_self_loops:
-        overrides["exclude_self_loops"] = False
-    return load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "synth":
-            _require(cfg, "output_dir")
-            try:
-                out = _ensure_output_dir(cfg)
-                manifest = write_demo_fixture(out, seed=cfg.seed)
-            except Exception as exc:
-                raise StageError("synth", exc) from exc
-            print(f"synth: wrote fixture to {out} "
-                  f"({manifest['planted_trips'] + manifest['background_trips']} trips)")
-            return 0
+        cfg = load_config(args.config, tracts=args.tracts, trips=args.trips,
+                          output_dir=args.output_dir, seed=args.seed, r=args.r, n=args.n,
+                          k_grid=tuple(args.k) if args.k else None,
+                          exclude_self_loops=False if args.include_self_loops else None)
         if args.command == "pipeline":
-            results = run_pipeline(cfg)
-            for name in results:
+            for name in run_pipeline(cfg):
                 print(f"{name}: ok")
-            return 0
-        runner = dict(_STAGES)[args.command]
-        try:
-            result = runner(cfg)
-        except (ConfigError, StageError):
-            raise
-        except Exception as exc:
-            raise StageError(args.command, exc) from exc
-        print(f"{args.command}: {json.dumps(result, sort_keys=True)}")
+        elif args.command == "synth":
+            manifest = _run("synth", _synth, cfg)
+            print(f"synth: wrote fixture to {Path(cfg.output_dir)} "
+                  f"({manifest['planted_trips'] + manifest['background_trips']} trips)")
+        else:
+            result = _run(args.command, _STAGES[args.command], cfg)
+            print(f"{args.command}: {json.dumps(result, sort_keys=True)}")
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

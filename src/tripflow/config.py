@@ -3,7 +3,8 @@
 The config file is INI-style with three sections. ``[paths]`` holds tracts,
 trips, and output_dir; ``[pipeline]`` holds the numeric knobs (named exactly
 as the PipelineConfig fields); ``[catalog]`` optionally overrides the
-hypothesis catalog (landmarks, sigma grid, property-key lists, eps). Every
+hypothesis catalog (named exactly as the CatalogConfig fields). The sigma
+grid lives in CatalogConfig but may be set in either section. Every
 default reproduces the values baked into the library: r=7 components, top-10
 selection, k grid {0,1,5,10,50,100}, the seven-value sigma grid, seed 42.
 
@@ -17,11 +18,11 @@ import configparser
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .evidence import DEFAULT_K_GRID
 from .geo import GeoPoint
-from .hypotheses import CatalogConfig, DEFAULT_SIGMA_GRID
+from .hypotheses import CatalogConfig
 from .tensor import NtfOptions
 
 
@@ -37,29 +38,22 @@ class PipelineConfig:
     r: int = 7
     n: int = 10
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
-    sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
-    seed: int = 42
-    max_iters: int = 500
-    rel_tol: float = 1e-6
-    epsilon: float = 1e-12
+    seed: int = NtfOptions.seed
+    max_iters: int = NtfOptions.max_iters
+    rel_tol: float = NtfOptions.rel_tol
+    epsilon: float = NtfOptions.epsilon
     exclude_self_loops: bool = True
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
 
+    @property
+    def sigma_grid(self) -> tuple[float, ...]:
+        return self.catalog.sigma_grid
+
     def ntf_options(self) -> NtfOptions:
-        return NtfOptions(seed=self.seed, max_iters=self.max_iters,
-                          rel_tol=self.rel_tol, epsilon=self.epsilon)
+        return NtfOptions(**{f.name: getattr(self, f.name) for f in fields(NtfOptions)})
 
     def catalog_config(self) -> CatalogConfig:
-        return replace(self.catalog, sigma_grid=self.sigma_grid)
-
-
-_PATH_KEYS = ("tracts", "trips", "output_dir")
-_PIPELINE_KEYS = ("r", "n", "k_grid", "sigma_grid", "seed", "max_iters",
-                  "rel_tol", "epsilon", "exclude_self_loops")
-_CATALOG_KEYS = ("landmarks", "sigma_grid", "all_venues_key", "checkins_key",
-                 "venue_category_keys", "census_indicator_keys", "race_keys",
-                 "poverty_keys", "employment_keys", "io_eps",
-                 "unweighted_opportunities")
+        return self.catalog
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -71,12 +65,10 @@ def _names(text: str) -> tuple[str, ...]:
 
 
 def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
 def _landmarks(text: str) -> tuple[tuple[str, GeoPoint], ...]:
@@ -94,20 +86,51 @@ def _landmarks(text: str) -> tuple[tuple[str, GeoPoint], ...]:
     return tuple(landmarks)
 
 
+_PARSERS = {Optional[Path]: Path, int: int, float: float, bool: _bool, str: str.strip,
+            tuple[float, ...]: _floats, tuple[str, ...]: _names,
+            tuple[tuple[str, GeoPoint], ...]: _landmarks}
+
+
+def _field_parsers(cls) -> dict:
+    """Map each field of ``cls`` that a config file can set to its value parser."""
+    return {name: _PARSERS[t] for name, t in get_type_hints(cls).items() if t in _PARSERS}
+
+
+_PIPELINE_FIELDS = _field_parsers(PipelineConfig)
+_SECTIONS = {"paths": {k: p for k, p in _PIPELINE_FIELDS.items() if p is Path},
+             "pipeline": {k: p for k, p in _PIPELINE_FIELDS.items() if p is not Path}
+                         | {"sigma_grid": _floats},
+             "catalog": _field_parsers(CatalogConfig)}
+
+
 def _check_keys(where: str, seen, allowed) -> None:
     unknown = sorted(set(seen) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _parse_section(parser: configparser.ConfigParser, name: str) -> dict:
+    if not parser.has_section(name):
+        return {}
+    section, parsers = parser[name], _SECTIONS[name]
+    _check_keys(f"[{name}]", section.keys(), parsers)
+    try:
+        return {key: parse(section[key]) for key, parse in parsers.items() if key in section}
+    except ConfigError:
+        raise
+    except (ValueError, configparser.Error) as exc:  # a bad value or a bad %-interpolation
+        raise ConfigError(f"bad value in [{name}]: {exc}") from exc
+
+
 def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
     """Build a PipelineConfig from an optional file plus keyword overrides.
 
     Precedence, lowest to highest: built-in defaults, config file,
-    environment path variables, explicit overrides (CLI flags).
+    environment path variables, explicit overrides (CLI flags). A
+    ``sigma_grid`` in ``[pipeline]`` beats one in ``[catalog]``.
     """
     values: dict = {}
-    catalog = CatalogConfig()
+    catalog: dict = {}
 
     if path is not None:
         if not Path(path).is_file():
@@ -117,87 +140,38 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
             parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        _check_keys("the config file", parser.sections(), ("paths", "pipeline", "catalog"))
+        _check_keys("the config file", parser.sections(), _SECTIONS)
+        values.update(_parse_section(parser, "paths"))
+        values.update(_parse_section(parser, "pipeline"))
+        catalog = _parse_section(parser, "catalog")
 
-        if parser.has_section("paths"):
-            _check_keys("[paths]", parser.options("paths"), _PATH_KEYS)
-            for key in _PATH_KEYS:
-                if parser.has_option("paths", key):
-                    values[key] = Path(parser.get("paths", key))
-        if parser.has_section("pipeline"):
-            section = parser["pipeline"]
-            _check_keys("[pipeline]", section.keys(), _PIPELINE_KEYS)
-            try:
-                if "r" in section:
-                    values["r"] = int(section["r"])
-                if "n" in section:
-                    values["n"] = int(section["n"])
-                if "seed" in section:
-                    values["seed"] = int(section["seed"])
-                if "max_iters" in section:
-                    values["max_iters"] = int(section["max_iters"])
-                if "rel_tol" in section:
-                    values["rel_tol"] = float(section["rel_tol"])
-                if "epsilon" in section:
-                    values["epsilon"] = float(section["epsilon"])
-                if "k_grid" in section:
-                    values["k_grid"] = _floats(section["k_grid"])
-                if "sigma_grid" in section:
-                    values["sigma_grid"] = _floats(section["sigma_grid"])
-                if "exclude_self_loops" in section:
-                    values["exclude_self_loops"] = _bool(section["exclude_self_loops"])
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value in [pipeline]: {exc}") from exc
-        if parser.has_section("catalog"):
-            section = parser["catalog"]
-            _check_keys("[catalog]", section.keys(), _CATALOG_KEYS)
-            try:
-                kwargs: dict = {}
-                if "landmarks" in section:
-                    kwargs["landmarks"] = _landmarks(section["landmarks"])
-                if "sigma_grid" in section:
-                    kwargs["sigma_grid"] = _floats(section["sigma_grid"])
-                for key in ("all_venues_key", "checkins_key"):
-                    if key in section:
-                        kwargs[key] = section[key].strip()
-                for key in ("venue_category_keys", "census_indicator_keys",
-                            "race_keys", "poverty_keys", "employment_keys"):
-                    if key in section:
-                        kwargs[key] = _names(section[key])
-                if "io_eps" in section:
-                    kwargs["io_eps"] = float(section["io_eps"])
-                if "unweighted_opportunities" in section:
-                    kwargs["unweighted_opportunities"] = _bool(section["unweighted_opportunities"])
-                catalog = replace(catalog, **kwargs)
-                if "sigma_grid" in kwargs and "sigma_grid" not in values:
-                    values["sigma_grid"] = kwargs["sigma_grid"]
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value in [catalog]: {exc}") from exc
+    for key in _SECTIONS["paths"]:  # TRIPFLOW_TRACTS, TRIPFLOW_TRIPS, TRIPFLOW_OUTPUT_DIR
+        if os.environ.get(f"TRIPFLOW_{key.upper()}"):
+            values[key] = Path(os.environ[f"TRIPFLOW_{key.upper()}"])
 
-    for key, env in (("tracts", "TRIPFLOW_TRACTS"), ("trips", "TRIPFLOW_TRIPS"),
-                     ("output_dir", "TRIPFLOW_OUTPUT_DIR")):
-        if os.environ.get(env):
-            values[key] = Path(os.environ[env])
-
-    known = {f.name for f in fields(PipelineConfig)}
+    known = {f.name for f in fields(PipelineConfig)} | {"sigma_grid"}
     for key, value in overrides.items():
         if key not in known:
             raise ConfigError(f"unknown config override {key!r}")
         if value is not None:
             values[key] = value
 
-    values.setdefault("catalog", catalog)
+    # sigma_grid from [pipeline] or an override beats [catalog] and a catalog override
+    moved = {key: values.pop(key) for key in list(values) if key in _SECTIONS["catalog"]}
+    values["catalog"] = replace(values.get("catalog") or CatalogConfig(**catalog), **moved)
     config = PipelineConfig(**values)
     if config.r < 1:
         raise ConfigError("r must be >= 1")
     if config.n < 1:
         raise ConfigError("n must be >= 1")
-    if any(k < 0 for k in config.k_grid):
+    if not config.k_grid:
+        raise ConfigError("k_grid must list at least one value")
+    if any(not k >= 0 for k in config.k_grid):  # written so that NaN fails too
         raise ConfigError("k values must be >= 0")
-    if any(s <= 0 for s in config.sigma_grid):
+    if any(not s > 0 for s in config.sigma_grid):
         raise ConfigError("sigma values must be > 0")
+    for key, grid in (("k_grid", config.k_grid), ("sigma_grid", config.sigma_grid)):
+        repeated = sorted({v for i, v in enumerate(grid) if v in grid[:i]})
+        if repeated:
+            raise ConfigError(f"{key} repeats the value(s) {' '.join(f'{v:g}' for v in repeated)}")
     return config

@@ -15,7 +15,7 @@ normalizes every matrix, so any row scaling is neutral by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -265,9 +265,6 @@ class CatalogConfig:
     employment_keys: tuple[str, ...] = EMPLOYMENT_FEATURE_KEYS
     io_eps: float = 1e-9
     unweighted_opportunities: bool = False
-
-    def with_landmarks(self, landmarks) -> "CatalogConfig":
-        return replace(self, landmarks=tuple(landmarks))
 
     def required_keys(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}

@@ -1,13 +1,17 @@
 import csv
 import json
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tripflow.cli import main, run_pipeline
 from tripflow.config import ConfigError, PipelineConfig, load_config
-from tripflow.geo import write_tracts
-from tripflow.hypotheses import build_uniform
+from tripflow.geo import GeoPoint, write_tracts
+from tripflow.hypotheses import CatalogConfig, build_uniform
 from tripflow.synth import demo_landmarks, generate_from_hypothesis, write_trips_file
 
 from tripflow.geo import HOURS_PER_WEEK
@@ -81,6 +85,73 @@ class TestConfigFile:
         path.write_text("[pipeline]\nr = 0\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="r must"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[pipeline]\nk_grid =\n", "k_grid"),
+        ("[pipeline]\nk_grid = 0 10 10\n", "k_grid"),
+        ("[pipeline]\nsigma_grid = 1 1\n", "sigma_grid"),
+        ("[catalog]\nsigma_grid = 2, 0.5, 2\n", "sigma_grid"),
+        ("[pipeline]\nk_grid = 1 nan\n", "k values"),
+        ("[catalog]\nsigma_grid = nan\n", "sigma values"),
+    ])
+    def test_bad_grid_rejected(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_bad_interpolation_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("[paths]\noutput_dir = out%1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"\[paths\]"):
+            load_config(path)
+        assert main(["synth", "--config", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_repeated_override_grid_rejected(self):
+        with pytest.raises(ConfigError, match="k_grid"):
+            load_config(k_grid=(10.0, 10.0))
+        with pytest.raises(ConfigError, match="sigma_grid"):
+            load_config(sigma_grid=(1.0, 1.0))
+
+    @pytest.mark.parametrize("text, overrides, expected", [
+        ("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n", {}, (1.0, 2.0)),
+        ("[pipeline]\nsigma_grid = 1 2\n", {}, (1.0, 2.0)),
+        ("[catalog]\nsigma_grid = 3 4\n", {}, (3.0, 4.0)),
+        ("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n",
+         {"sigma_grid": (5.0,)}, (5.0,)),
+    ])
+    def test_sigma_grid_precedence(self, tmp_path, text, overrides, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        cfg = load_config(path, **overrides)
+        assert cfg.sigma_grid == cfg.catalog.sigma_grid == cfg.catalog_config().sigma_grid \
+            == expected
+
+    def test_every_key_parsed(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "[paths]\ntracts = t.csv\ntrips = u.csv\noutput_dir = o\n"
+            "[pipeline]\nr = 3\nn = 4\nk_grid = 0, 2\nsigma_grid = 1 2\nseed = 9\n"
+            "max_iters = 7\nrel_tol = 0.5\nepsilon = 1e-3\nexclude_self_loops = off\n"
+            "[catalog]\nlandmarks = a 1 2; b 3 4\nsigma_grid = 5\nall_venues_key = v\n"
+            "checkins_key = c\nvenue_category_keys = a, b\ncensus_indicator_keys = c d\n"
+            "race_keys = e\npoverty_keys = f\nemployment_keys = g\nio_eps = 0.1\n"
+            "unweighted_opportunities = yes\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg == PipelineConfig(
+            tracts=Path("t.csv"), trips=Path("u.csv"), output_dir=Path("o"), r=3, n=4,
+            k_grid=(0.0, 2.0), seed=9, max_iters=7, rel_tol=0.5, epsilon=1e-3,
+            exclude_self_loops=False,
+            catalog=CatalogConfig(
+                landmarks=(("a", GeoPoint(1.0, 2.0)), ("b", GeoPoint(3.0, 4.0))),
+                sigma_grid=(1.0, 2.0), all_venues_key="v", checkins_key="c",
+                venue_category_keys=("a", "b"), census_indicator_keys=("c", "d"),
+                race_keys=("e",), poverty_keys=("f",), employment_keys=("g",),
+                io_eps=0.1, unweighted_opportunities=True))
+        for obj, default in ((cfg, PipelineConfig()), (cfg.catalog, CatalogConfig())):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +258,21 @@ class TestCli:
         for name in ("tracts.csv", "trips.csv", "demo.cfg", "demo_manifest.json"):
             assert (tmp_path / "fix" / name).is_file()
 
+    @pytest.mark.parametrize("args, text, key", [
+        (["--k", "10", "--k", "10"], "", "k_grid"),
+        ([], "[pipeline]\nk_grid =\n", "k_grid"),
+        ([], "[catalog]\nsigma_grid = 1 1\n", "sigma_grid"),
+    ])
+    def test_bad_grid_fails_before_any_stage(self, mini_fixture, tmp_path, capsys,
+                                             args, text, key):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"[paths]\ntracts = {mini_fixture / 'tracts.csv'}\n"
+                       f"trips = {mini_fixture / 'trips.csv'}\noutput_dir = {tmp_path / 'out'}\n"
+                       + text, encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg), *args]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_pipeline_stage_error_names_stage(self, tmp_path, grid_space, capsys):
         # trips file is unreadable garbage: ingest is the failing stage
         keys = sorted(grid_space.tracts[0].properties)
@@ -197,3 +283,36 @@ class TestCli:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert "'ingest'" in capsys.readouterr().err
+
+
+class TestBenchTracer:
+    """The benchmark's tracer wraps names bound in tripflow.cli; keep them reachable."""
+
+    WRAPPED = ("geo.locate", "geo.load_tracts", "ingest.load_raw_trips", "ingest.clean_trips",
+               "ingest.write_clean_trips", "ingest.load_clean_trips",
+               "ingest.transition_counts", "tensor.build_tensor", "tensor.ntf_decompose",
+               "tensor.save_factors", "tensor.load_factors", "clusters.cluster_counts",
+               "clusters.write_membership", "hypotheses.build_catalog", "evidence.k_sweep",
+               "evidence.write_rankings")
+    STAGES = ("ingest", "factorize", "extract-clusters", "build-hypotheses", "rank")
+
+    def test_stages_and_probe_trace_every_wrapped_call(self, mini_fixture, tmp_path):
+        tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        for name in ("tracts.csv", "trips.csv"):
+            (tmp_path / name).write_bytes((mini_fixture / name).read_bytes())
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text((mini_fixture / "mini.cfg").read_text(encoding="utf-8")
+                       .replace(str(mini_fixture), str(tmp_path)), encoding="utf-8")
+        runs = {"stages": [str(tmp_path / "spans.json"), *self.STAGES],
+                "probe": [str(tmp_path / "probe.json")]}
+        traced = {}
+        for mode, rest in runs.items():
+            done = subprocess.run([sys.executable, str(tracer), mode, str(cfg), *rest],
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            traced[mode] = json.loads(Path(rest[0]).read_text(encoding="utf-8"))
+            assert traced[mode]["absent"] == []
+        names = {span[0] for span in traced["stages"]["spans"]}
+        expected = {f"cli.{s.replace('-', '_')}" for s in self.STAGES} | set(self.WRAPPED)
+        assert expected - names == set()
+        assert "tensor.reconstruction_error" in {span[0] for span in traced["probe"]["spans"]}

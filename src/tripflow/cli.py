@@ -21,7 +21,7 @@ from .config import ConfigError, PipelineConfig, load_config
 from .evidence import k_sweep, write_rankings
 from .geo import StateSpace, load_tracts
 from .hypotheses import build_catalog
-from .ingest import TransitionCounts, Trip, clean_trips, load_clean_trips, load_raw_trips, \
+from .ingest import TransitionCounts, clean_trips, load_clean_trips, load_raw_trips, \
     transition_counts, write_clean_trips
 from .synth import write_demo_fixture
 from .tensor import build_tensor, load_factors, ntf_decompose, save_factors
@@ -59,7 +59,7 @@ def _open_stage(cfg: PipelineConfig, *inputs: str) -> tuple[StateSpace, Path]:
     return load_tracts(_input_file(cfg.tracts, "tracts file")), _ensure_output_dir(cfg)
 
 
-def _load_cleaned_trips(out: Path) -> list[Trip]:
+def _load_cleaned_trips(out: Path) -> np.ndarray:
     return load_clean_trips(_input_file(out / "trips_clean.csv", "cleaned trips file"))
 
 

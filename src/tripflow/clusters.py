@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ingest import Trip, TransitionCounts, transition_counts
+from .ingest import TransitionCounts, TripRows, transition_counts
 from .tensor import FactorSet
 
 
@@ -54,13 +54,14 @@ def cluster_spec(f: FactorSet, component: int, n: int) -> ClusterSpec:
     )
 
 
-def select_cluster_trips(trips: Iterable[Trip], spec: ClusterSpec) -> list[Trip]:
-    """Trips whose hour and dropoff tract both fall in the spec's top sets."""
-    return [t for t in trips
-            if t.hour in spec.top_hours and t.dropoff_tract in spec.top_dropoffs]
+def select_cluster_trips(trips: TripRows, spec: ClusterSpec) -> np.ndarray:
+    """Trip rows whose hour and dropoff tract both fall in the spec's top sets, in order."""
+    rows = np.asarray(trips, dtype=np.int64).reshape(-1, 3)
+    keep = np.isin(rows[:, 0], list(spec.top_hours)) & np.isin(rows[:, 2], list(spec.top_dropoffs))
+    return rows[keep]
 
 
-def cluster_counts(trips: Sequence[Trip], f: FactorSet, component: int,
+def cluster_counts(trips: TripRows, f: FactorSet, component: int,
                    n: int, size: int) -> TransitionCounts:
     """Transition counts restricted to one component's cluster."""
     spec = cluster_spec(f, component, n)

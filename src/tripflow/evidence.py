@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .hypotheses import HypothesisMatrix
 from .ingest import TransitionCounts
@@ -72,6 +71,8 @@ def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
     summed over rows. Zero counts give exactly 0; any observed transition makes
     the value negative.
     """
+    from scipy.special import gammaln  # imported here: only ranking pays its import time
+
     counts = n.counts
     alpha = a.alpha
     if counts.shape != alpha.shape:

@@ -195,15 +195,20 @@ def load_tracts(path) -> StateSpace:
     The polygon cell may be empty; when present it is semicolon-separated
     ``lat lon`` pairs. A ``tract_area`` property mirroring ``area_sqkm`` is
     injected when the file does not carry one, so area can serve as a weight.
+    A repeated ``tract_id`` is rejected.
     """
     reserved = ("tract_id", "lat", "lon", "area_sqkm", "polygon")
     tracts = []
+    seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or reader.fieldnames[:5] != list(reserved):
             raise ValueError(f"{path}: expected header starting with {', '.join(reserved)}")
         property_keys = [c for c in reader.fieldnames[5:] if c]
         for index, row in enumerate(reader):
+            if row["tract_id"] in seen:
+                raise ValueError(f"{path}: duplicate tract_id {row['tract_id']!r}")
+            seen.add(row["tract_id"])
             props = {key: float(row[key]) for key in property_keys}
             area = float(row["area_sqkm"])
             props.setdefault("tract_area", area)

@@ -106,18 +106,25 @@ def build_gaussian(space: StateSpace, sigma: float,
     Without ``center`` (proximity mode), belief in j from i follows a
     Gaussian in dist(i, j). With a fixed landmark ``center``, belief in j
     follows a Gaussian in the landmark-to-j distance and every row is
-    identical. The diagonal is zeroed after evaluation in both modes.
+    identical. The diagonal is zeroed in both modes. A row whose off-diagonal
+    entries all underflow (no target within about 38.6 sigma) is evaluated
+    relative to its largest off-diagonal exponent; rows are normalized downstream.
     """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    coef = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     if center is None:
-        q = coef * np.exp(-space.distances ** 2 / (2.0 * sigma ** 2))
-        return _finish(name or f"proximity_sigma_{sigma:g}", q)
-    dist = np.array([haversine_distance(center, t.centroid) for t in space.tracts])
-    row = coef * np.exp(-dist ** 2 / (2.0 * sigma ** 2))
-    q = np.tile(row, (len(space), 1))
-    return _finish(name or f"centroid_sigma_{sigma:g}", q)
+        dist, default_name = space.distances, f"proximity_sigma_{sigma:g}"
+    else:
+        row = np.array([haversine_distance(center, t.centroid) for t in space.tracts])
+        dist, default_name = np.tile(row, (len(space), 1)), f"centroid_sigma_{sigma:g}"
+    exponent = -dist ** 2 / (2.0 * sigma ** 2)
+    np.fill_diagonal(exponent, -np.inf)
+    coef = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    q = coef * np.exp(exponent)
+    peak = exponent.max(axis=1, keepdims=True)
+    underflow = ~q.any(axis=1) & np.isfinite(peak[:, 0])
+    q[underflow] = coef * np.exp(exponent[underflow] - peak[underflow])
+    return _finish(name or default_name, q)
 
 
 def build_mass(space: StateSpace, w: WeightVector, variant: str,

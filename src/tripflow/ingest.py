@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .geo import GeoPoint, StateSpace, hour_of_week, locate
+from .geo import HOURS_PER_WEEK, GeoPoint, StateSpace, hour_of_week, locate
 
 # Rejection reasons, in the order the filters are applied; a record is
 # tallied under the first reason it violates.
@@ -32,13 +34,25 @@ class RawTripRecord:
     passenger_count: int
 
 
-@dataclass(frozen=True)
-class Trip:
-    """A cleaned ride: hour-of-week and pickup/dropoff tract indices."""
+class Trip(NamedTuple):
+    """A cleaned ride: hour-of-week and pickup/dropoff tract indices; one trip row."""
 
     hour: int
     pickup_tract: int
     dropoff_tract: int
+
+
+TripRows = Union[Sequence[Trip], np.ndarray]
+
+
+def trip_rows(trips: TripRows, size: int) -> np.ndarray:
+    """The trips as an (m, 3) int64 array, every hour in the week and tract below ``size``."""
+    rows = np.asarray(trips, dtype=np.int64).reshape(-1, 3)
+    outside = ((rows < 0) | (rows >= (HOURS_PER_WEEK, size, size))).any(axis=1)
+    if outside.any():
+        raise IndexError(f"trip row {tuple(rows[np.argmax(outside)].tolist())} out of range "
+                         f"for {HOURS_PER_WEEK} hours and size {size}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -66,56 +80,39 @@ def clean_trips(
     ``exclude_self_loops``) rides that start and end in the same tract.
     Returns surviving trips in input order plus a per-reason rejection tally;
     ``len(trips) + sum(tally.values())`` always equals the input length.
-    Records that blow up during inspection are tallied as malformed.
+    Records whose fields are missing or of the wrong type are tallied as
+    malformed; any other error propagates.
     """
     if not space.tracts:
         raise ValueError("empty state space")
     trips: list[Trip] = []
-    tally: dict[str, int] = {}
-
-    def reject(reason: str):
-        tally[reason] = tally.get(reason, 0) + 1
-
+    tally: Counter[str] = Counter()
     for rec in records:
         try:
             if not math.isfinite(rec.trip_distance) or rec.trip_distance <= 0:
-                reject(REJECT_DISTANCE)
-                continue
-            if not math.isfinite(rec.trip_time_in_secs) or rec.trip_time_in_secs <= 0:
-                reject(REJECT_TIME)
-                continue
-            if rec.passenger_count <= 0:
-                reject(REJECT_PASSENGERS)
-                continue
-            pickup_tract = locate(rec.pickup, space)
-            dropoff_tract = locate(rec.dropoff, space)
-            if pickup_tract is None or dropoff_tract is None:
-                reject(REJECT_OUT_OF_AREA)
-                continue
-            if exclude_self_loops and pickup_tract == dropoff_tract:
-                reject(REJECT_SELF_LOOP)
-                continue
-            trips.append(Trip(
-                hour=hour_of_week(rec.pickup_datetime),
-                pickup_tract=pickup_tract,
-                dropoff_tract=dropoff_tract,
-            ))
-        except Exception:
-            reject(REJECT_MALFORMED)
+                tally[REJECT_DISTANCE] += 1
+            elif not math.isfinite(rec.trip_time_in_secs) or rec.trip_time_in_secs <= 0:
+                tally[REJECT_TIME] += 1
+            elif rec.passenger_count <= 0:
+                tally[REJECT_PASSENGERS] += 1
+            else:
+                pickup, dropoff = locate(rec.pickup, space), locate(rec.dropoff, space)
+                if pickup is None or dropoff is None:
+                    tally[REJECT_OUT_OF_AREA] += 1
+                elif exclude_self_loops and pickup == dropoff:
+                    tally[REJECT_SELF_LOOP] += 1
+                else:
+                    trips.append(Trip(hour_of_week(rec.pickup_datetime), pickup, dropoff))
+        except (AttributeError, TypeError, ValueError):
+            tally[REJECT_MALFORMED] += 1
     return trips, tally
 
 
-def transition_counts(trips: Iterable[Trip], size: int) -> TransitionCounts:
+def transition_counts(trips: TripRows, size: int) -> TransitionCounts:
     """Count pickup-to-dropoff transitions into a |S| x |S| integer matrix."""
-    counts = np.zeros((size, size), dtype=np.int64)
-    total = 0
-    for trip in trips:
-        if not (0 <= trip.pickup_tract < size and 0 <= trip.dropoff_tract < size):
-            raise IndexError(f"trip tract indices {trip.pickup_tract}->{trip.dropoff_tract} "
-                             f"out of range for size {size}")
-        counts[trip.pickup_tract, trip.dropoff_tract] += 1
-        total += 1
-    return TransitionCounts(counts=counts, total=total)
+    rows = trip_rows(trips, size)
+    counts = np.bincount(rows[:, 1] * size + rows[:, 2], minlength=size * size)
+    return TransitionCounts(counts=counts.reshape(size, size), total=len(rows))
 
 
 TRIPS_HEADER = [
@@ -147,7 +144,7 @@ def load_raw_trips(path) -> tuple[list[RawTripRecord], int]:
                     trip_time_in_secs=float(row[6]),
                     passenger_count=int(row[7]),
                 ))
-            except Exception:
+            except (IndexError, ValueError):
                 malformed += 1
     return records, malformed
 
@@ -155,18 +152,15 @@ def load_raw_trips(path) -> tuple[list[RawTripRecord], int]:
 def write_clean_trips(path, trips: Iterable[Trip]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["hour", "pickup_tract", "dropoff_tract"])
-        for t in trips:
-            writer.writerow([t.hour, t.pickup_tract, t.dropoff_tract])
+        writer.writerow(Trip._fields)
+        writer.writerows(trips)
 
 
-def load_clean_trips(path) -> list[Trip]:
-    trips = []
+def load_clean_trips(path) -> np.ndarray:
+    """Read a cleaned-trips file as an (m, 3) int64 array of trip rows."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["hour", "pickup_tract", "dropoff_tract"]:
+        if fh.readline().rstrip("\r\n") != ",".join(Trip._fields):
             raise ValueError(f"{path}: not a cleaned-trips file")
-        for row in reader:
-            trips.append(Trip(int(row[0]), int(row[1]), int(row[2])))
-    return trips
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file holds zero trips
+            return np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2, usecols=(0, 1, 2))

@@ -5,9 +5,10 @@ decomposition approximates it as a sum of r rank-1 components under a
 squared-Frobenius objective, using per-mode multiplicative updates; each
 component is one spatio-temporal mobility cluster.
 
-Storage is sparse (coordinate map): real trip tensors are mostly empty and
-synthetic test fixtures stay instant. Dense slices are materialized only
-hour-by-hour while evaluating the reconstruction error.
+Storage is sparse (coordinate list, the COO layout of Bader & Kolda 2007):
+real trip tensors are mostly empty and synthetic test fixtures stay instant.
+Dense slices are materialized only hour-by-hour while evaluating the
+reconstruction error.
 """
 
 from __future__ import annotations
@@ -15,56 +16,58 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .geo import HOURS_PER_WEEK
-from .ingest import Trip
+from .ingest import TripRows, trip_rows
 
 
 @dataclass(frozen=True)
 class MobilityTensor:
-    """Sparse non-negative count tensor; absent entries are zero."""
+    """Sparse non-negative tensor in coordinate form; absent entries are zero.
+
+    ``entries`` is an (nnz, 3) integer array of (hour, pickup, dropoff)
+    coordinates, strictly increasing in C (row-major) order, so each entry is
+    unique; ``values`` holds the matching positive values.
+    """
 
     dims: tuple[int, int, int]
-    entries: dict[tuple[int, int, int], float]
+    entries: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        for (h, p, d), v in self.entries.items():
-            if not (0 <= h < self.dims[0] and 0 <= p < self.dims[1] and 0 <= d < self.dims[2]):
-                raise IndexError(f"entry ({h},{p},{d}) out of bounds for dims {self.dims}")
-            if not v > 0:
-                raise ValueError(f"entry ({h},{p},{d}) must be positive, got {v}")
+        if self.entries.shape != (len(self.values), 3) or self.values.ndim != 1:
+            raise ValueError(f"entries {self.entries.shape} and values {self.values.shape} "
+                             f"are not (nnz, 3) and (nnz,)")
+        # ravel_multi_index raises ValueError for a coordinate outside dims.
+        if (np.diff(np.ravel_multi_index(self.entries.T, self.dims)) <= 0).any():
+            raise ValueError("entries must be strictly increasing in C order "
+                             "(sorted, without duplicates)")
+        if not (self.values > 0).all():
+            raise ValueError("entry values must be positive")
+        self.entries.setflags(write=False)
+        self.values.setflags(write=False)
 
     def entry_sum(self) -> float:
-        return float(sum(self.entries.values()))
+        return float(self.values.sum())
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(sum(v * v for v in self.entries.values())))
+        return float(np.sqrt(self.values @ self.values))
 
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinate arrays (hours, pickups, dropoffs, values) in canonical order."""
-        keys = sorted(self.entries)
-        hours = np.fromiter((k[0] for k in keys), dtype=np.intp, count=len(keys))
-        pickups = np.fromiter((k[1] for k in keys), dtype=np.intp, count=len(keys))
-        dropoffs = np.fromiter((k[2] for k in keys), dtype=np.intp, count=len(keys))
-        values = np.fromiter((self.entries[k] for k in keys), dtype=np.float64, count=len(keys))
-        return hours, pickups, dropoffs, values
+        """Coordinate arrays (hours, pickups, dropoffs, values) in C order."""
+        return self.entries[:, 0], self.entries[:, 1], self.entries[:, 2], self.values
 
 
-def build_tensor(trips: Iterable[Trip], size: int) -> MobilityTensor:
+def build_tensor(trips: TripRows, size: int) -> MobilityTensor:
     """Accumulate trips into the hour x pickup x dropoff count tensor."""
-    entries: dict[tuple[int, int, int], float] = {}
-    for t in trips:
-        if not 0 <= t.hour < HOURS_PER_WEEK:
-            raise IndexError(f"hour {t.hour} out of range")
-        if not (0 <= t.pickup_tract < size and 0 <= t.dropoff_tract < size):
-            raise IndexError(f"tract indices {t.pickup_tract}->{t.dropoff_tract} "
-                             f"out of range for size {size}")
-        key = (t.hour, t.pickup_tract, t.dropoff_tract)
-        entries[key] = entries.get(key, 0.0) + 1.0
-    return MobilityTensor(dims=(HOURS_PER_WEEK, size, size), entries=entries)
+    dims = (HOURS_PER_WEEK, size, size)
+    cells, counts = np.unique(np.ravel_multi_index(trip_rows(trips, size).T, dims),
+                              return_counts=True)
+    return MobilityTensor(dims=dims, entries=np.column_stack(np.unravel_index(cells, dims)),
+                          values=counts.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -149,11 +152,9 @@ def _error_from_slices(coords, vals, dims, factors, scale) -> float:
     recorded objective trace stays monotone to within float noise that
     shrinks with the error itself.
     """
-    hours, pickups, dropoffs = coords
+    hours, pickups, dropoffs = coords  # sorted by hour, as MobilityTensor keeps them
     tfac, pfac, dfac = factors
-    order = np.argsort(hours, kind="stable")
-    hours_s, pickups_s, dropoffs_s, vals_s = hours[order], pickups[order], dropoffs[order], vals[order]
-    boundaries = np.searchsorted(hours_s, np.arange(dims[0] + 1))
+    boundaries = np.searchsorted(hours, np.arange(dims[0] + 1))
     err2 = 0.0
     for h in range(dims[0]):
         weights = scale * tfac[h]
@@ -161,7 +162,7 @@ def _error_from_slices(coords, vals, dims, factors, scale) -> float:
         lo, hi = boundaries[h], boundaries[h + 1]
         if hi > lo:
             slice_dense = np.zeros((dims[1], dims[2]))
-            slice_dense[pickups_s[lo:hi], dropoffs_s[lo:hi]] = vals_s[lo:hi]
+            slice_dense[pickups[lo:hi], dropoffs[lo:hi]] = vals[lo:hi]
             err2 += float(((slice_dense - model) ** 2).sum())
         else:
             err2 += float((model ** 2).sum())
@@ -172,9 +173,8 @@ def reconstruction_error(x: MobilityTensor, f: FactorSet) -> float:
     """Frobenius norm of the difference between the tensor and its CP model."""
     if (x.dims[0], x.dims[1], x.dims[2]) != (f.time.shape[0], f.pickup.shape[0], f.dropoff.shape[0]):
         raise ValueError(f"tensor dims {x.dims} do not match factor shapes")
-    hours, pickups, dropoffs, vals = x.coords()
-    return _error_from_slices((hours, pickups, dropoffs), vals, x.dims,
-                              (f.time, f.pickup, f.dropoff), f.scale)
+    *coords, vals = x.coords()
+    return _error_from_slices(coords, vals, x.dims, (f.time, f.pickup, f.dropoff), f.scale)
 
 
 def ntf_decompose(x: MobilityTensor, r: int,
@@ -196,12 +196,11 @@ def ntf_decompose(x: MobilityTensor, r: int,
         raise ValueError("r must be >= 1")
     if opts.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not x.entries:
+    if len(x.values) == 0:
         raise ValueError("degenerate input: tensor has no nonzero entries")
 
     dims = x.dims
-    hours, pickups, dropoffs, vals = x.coords()
-    coords = (hours, pickups, dropoffs)
+    *coords, vals = x.coords()
 
     rng = np.random.default_rng(opts.seed)
     factors = []
@@ -278,18 +277,8 @@ def save_factors(directory, f: FactorSet, *, seed: int,
 
 
 def load_factors(directory) -> FactorSet:
-    matrices = {}
-    for mode, filename in _MODE_FILES.items():
-        rows = []
-        with open(directory / filename, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                rows.append([float(v) for v in row[1:]])
-        matrices[mode] = np.array(rows)
-    with open(directory / "factors_scale.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        scale = np.array([float(row[1]) for row in reader])
+    matrices = {mode: np.loadtxt(directory / filename, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+                for mode, filename in _MODE_FILES.items()}
+    scale = np.loadtxt(directory / "factors_scale.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
     return FactorSet(r=len(scale), time=matrices["time"], pickup=matrices["pickup"],
                      dropoff=matrices["dropoff"], scale=scale)

@@ -51,7 +51,7 @@ def planted_rank3() -> tuple[MobilityTensor, list[tuple[np.ndarray, np.ndarray, 
     pickup_profile = np.array([2, 1, 3, 1, 2, 1], dtype=float)
     dropoff_profile = np.array([1, 3, 2, 1, 1, 2], dtype=float)
     generators = []
-    entries: dict[tuple[int, int, int], float] = {}
+    dense = np.zeros((24, 20, 20))
     for c in range(3):
         t = np.zeros(24)
         p = np.zeros(20)
@@ -60,12 +60,10 @@ def planted_rank3() -> tuple[MobilityTensor, list[tuple[np.ndarray, np.ndarray, 
         p[c * 6:(c + 1) * 6] = pickup_profile
         d[c * 6:(c + 1) * 6] = dropoff_profile
         generators.append((t, p, d))
-        for i in np.flatnonzero(t):
-            for j in np.flatnonzero(p):
-                for k in np.flatnonzero(d):
-                    key = (int(i), int(j), int(k))
-                    entries[key] = entries.get(key, 0.0) + float(t[i] * p[j] * d[k])
-    return MobilityTensor(dims=(24, 20, 20), entries=entries), generators
+        dense += t[:, None, None] * p[None, :, None] * d[None, None, :]
+    entries = np.argwhere(dense)
+    return MobilityTensor(dims=(24, 20, 20), entries=entries,
+                          values=dense[tuple(entries.T)]), generators
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

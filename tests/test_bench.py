@@ -1,0 +1,16 @@
+"""Smoke run of the benchmark harness at demo size."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+
+def test_demo_smoke_run_is_correct():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "bench/run.py", "--workload", "demo", "--seed", "1",
+                           "--smoke"], cwd=root, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -44,13 +44,13 @@ def spec(hours, dropoffs, n=10, component=0):
 class TestSelect:
     def test_hour_and_dropoff_must_match(self):
         trip = Trip(9, 3, 7)
-        assert select_cluster_trips([trip], spec({9}, {7})) == [trip]
-        assert select_cluster_trips([trip], spec({9}, {8})) == []
-        assert select_cluster_trips([trip], spec({10}, {7})) == []
+        assert select_cluster_trips([trip], spec({9}, {7})).tolist() == [list(trip)]
+        assert select_cluster_trips([trip], spec({9}, {8})).tolist() == []
+        assert select_cluster_trips([trip], spec({10}, {7})).tolist() == []
 
     def test_pickup_never_matters(self):
         trips = [Trip(9, p, 7) for p in range(20)]
-        assert select_cluster_trips(trips, spec({9}, {7})) == trips
+        assert select_cluster_trips(trips, spec({9}, {7})).tolist() == [list(t) for t in trips]
 
 
 def random_factors(r, seed):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +204,15 @@ class TestKSweep:
     def test_empty_grid(self, grid_space):
         with pytest.raises(ValueError):
             k_sweep(counts_of(np.zeros((2, 2))), [build_uniform(2)], ())
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # Only ranking needs gammaln; every other stage process skips its import time.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", "import sys, tripflow.cli; "
+                           "print('scipy.special' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

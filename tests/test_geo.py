@@ -191,6 +191,17 @@ class TestTractsFile:
         with pytest.raises(ValueError, match="header"):
             load_tracts(path)
 
+    def test_rejects_duplicate_tract_id(self, tmp_path):
+        path = tmp_path / "tracts.csv"
+        path.write_text(
+            "tract_id,lat,lon,area_sqkm,polygon\n"
+            "a,0.0,0.0,1.0,\n"
+            "b,0.0,0.1,1.0,\n"
+            "a,0.0,0.2,1.0,\n",
+            encoding="utf-8")
+        with pytest.raises(ValueError, match="duplicate tract_id 'a'"):
+            load_tracts(path)
+
     def test_injects_tract_area_property(self, tmp_path):
         path = tmp_path / "tracts.csv"
         path.write_text(

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from tripflow.geo import GeoPoint
+from tripflow.geo import GeoPoint, haversine_distance
 from tripflow.hypotheses import (
+    DEFAULT_LANDMARKS,
+    DEFAULT_SIGMA_GRID,
     CatalogConfig,
     CatalogConfigError,
     FeatureVectors,
@@ -18,7 +22,16 @@ from tripflow.hypotheses import (
     build_uniform,
 )
 
+from tripflow.synth import DEMO_GRID, demo_recipe, generate_state_space
+
 from conftest import make_space
+
+
+def plain_kernel(dist: np.ndarray, sigma: float) -> np.ndarray:
+    """The Gaussian kernel evaluated directly, diagonal zeroed; underflows far from sigma."""
+    q = 1.0 / (sigma * math.sqrt(2.0 * math.pi)) * np.exp(-dist ** 2 / (2.0 * sigma ** 2))
+    np.fill_diagonal(q, 0.0)
+    return q
 
 
 class TestUniform:
@@ -76,6 +89,29 @@ class TestGaussian:
     def test_bad_sigma(self, grid_space):
         with pytest.raises(ValueError):
             build_gaussian(grid_space, sigma=0.0)
+
+    def test_underflowing_rows_peak_at_nearest_target(self):
+        # At sigma 0.01 km both off-diagonal entries of row 0 underflow; rows 1
+        # and 2 keep their kernel values.
+        space = make_space([[0, 1.0, 2.0], [1.0, 0, 0.3], [2.0, 0.3, 0]])
+        plain = plain_kernel(space.distances, 0.01)
+        q = build_gaussian(space, sigma=0.01).q
+        assert not plain[0].any() and plain[1:].any(axis=1).all()
+        assert q[0].argmax() == 1 and q[0, 0] == 0.0
+        np.testing.assert_array_equal(q[1:], plain[1:])
+
+    def test_bits_unchanged_where_nothing_underflows(self, city_space):
+        n = len(city_space)
+        for sigma in DEFAULT_SIGMA_GRID:
+            kernels = {None: city_space.distances}
+            for _, point in DEFAULT_LANDMARKS:
+                row = [haversine_distance(point, t.centroid) for t in city_space.tracts]
+                kernels[point] = np.tile(row, (n, 1))
+            for center, dist in kernels.items():
+                expected = plain_kernel(dist, sigma)
+                assert expected.any(axis=1).all()
+                np.testing.assert_array_equal(build_gaussian(city_space, sigma, center).q,
+                                              expected)
 
 
 class TestMass:
@@ -212,6 +248,20 @@ class TestCatalog:
     def test_default_catalog_is_70(self, city_space):
         catalog = build_catalog(city_space)
         assert len(catalog) == 70
+
+    def test_default_landmarks_far_from_demo_grid(self):
+        # No demo-grid centroid lies within 0.38 km of a default landmark, so the
+        # sigma 0.01 landmark kernels would underflow to all zero if evaluated directly.
+        space = generate_state_space(DEMO_GRID, demo_recipe(), 42)
+        catalog = {h.name: h.q for h in build_catalog(space, CatalogConfig())}
+        assert len(catalog) == 70
+        for landmark, point in DEFAULT_LANDMARKS:
+            nearest = int(np.argmin([haversine_distance(point, t.centroid)
+                                     for t in space.tracts]))
+            others = np.arange(len(space)) != nearest
+            for sigma in DEFAULT_SIGMA_GRID:
+                q = catalog[f"centroid_{landmark}_sigma_{sigma:g}"]
+                assert (q[others].argmax(axis=1) == nearest).all()
 
     def test_zero_diagonals_everywhere(self, city_space):
         for h in build_catalog(city_space):

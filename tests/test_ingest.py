@@ -5,6 +5,7 @@ import pytest
 
 from tripflow.geo import GeoPoint
 from tripflow.ingest import (
+    TRIPS_HEADER,
     RawTripRecord,
     Trip,
     clean_trips,
@@ -81,6 +82,15 @@ def test_malformed_record_tallied(grid_space, centroids):
     assert tally == {"malformed": 1}
 
 
+def test_unrelated_error_propagates(grid_space, centroids, monkeypatch):
+    def broken_locate(point, space):
+        raise RuntimeError("locate is broken")
+
+    monkeypatch.setattr("tripflow.ingest.locate", broken_locate)
+    with pytest.raises(RuntimeError, match="locate is broken"):
+        clean_trips([record(centroids[0], centroids[1])], grid_space)
+
+
 def test_conservation_fuzz(grid_space, centroids):
     rng = np.random.default_rng(99)
     records = []
@@ -131,7 +141,7 @@ class TestTripFiles:
         trips = [Trip(9, 3, 7), Trip(120, 0, 19)]
         path = tmp_path / "clean.csv"
         write_clean_trips(path, trips)
-        assert load_clean_trips(path) == trips
+        assert [Trip(*row) for row in load_clean_trips(path).tolist()] == trips
 
     def test_raw_loader_counts_malformed(self, tmp_path):
         path = tmp_path / "trips.csv"
@@ -145,6 +155,40 @@ class TestTripFiles:
         records, malformed = load_raw_trips(path)
         assert len(records) == 1
         assert malformed == 2
+
+    def test_raw_loader_tallies_short_and_out_of_range_rows(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text(
+            ",".join(TRIPS_HEADER) + "\n"
+            "2013-01-07T09:00:00,0.0,0.0,0.0,0.1,1.0,600,1\n"
+            "2013-01-07T09:00:00,0.0,0.0,0.0,0.1,1.0,600\n"
+            "2013-01-07T09:00:00,95.0,0.0,0.0,0.1,1.0,600,1\n",
+            encoding="utf-8")
+        records, malformed = load_raw_trips(path)
+        assert len(records) == 1
+        assert malformed == 2
+
+    def test_raw_loader_unrelated_error_propagates(self, tmp_path, monkeypatch):
+        def broken_point(lat, lon):
+            raise RuntimeError("GeoPoint is broken")
+
+        path = tmp_path / "trips.csv"
+        path.write_text(",".join(TRIPS_HEADER) + "\n"
+                        "2013-01-07T09:00:00,0.0,0.0,0.0,0.1,1.0,600,1\n", encoding="utf-8")
+        monkeypatch.setattr("tripflow.ingest.GeoPoint", broken_point)
+        with pytest.raises(RuntimeError, match="GeoPoint is broken"):
+            load_raw_trips(path)
+
+    def test_clean_loader_rejects_wrong_header(self, tmp_path):
+        path = tmp_path / "clean.csv"
+        path.write_text("hour,pickup,dropoff\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="cleaned-trips"):
+            load_clean_trips(path)
+
+    def test_clean_loader_header_only(self, tmp_path):
+        path = tmp_path / "clean.csv"
+        write_clean_trips(path, [])
+        assert load_clean_trips(path).shape == (0, 3)
 
     def test_raw_loader_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "trips.csv"

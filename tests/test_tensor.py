@@ -16,15 +16,19 @@ from tripflow.tensor import (
 from conftest import best_match_min_cosine, cosine, planted_rank3
 
 
+def as_dict(x: MobilityTensor) -> dict[tuple[int, int, int], float]:
+    return dict(zip(map(tuple, x.entries.tolist()), x.values.tolist()))
+
+
 class TestBuildTensor:
     def test_single_trip(self):
         x = build_tensor([Trip(9, 3, 7)], 10)
-        assert x.entries == {(9, 3, 7): 1.0}
+        assert as_dict(x) == {(9, 3, 7): 1.0}
         assert x.dims == (168, 10, 10)
 
     def test_duplicates_accumulate(self):
         x = build_tensor([Trip(9, 3, 7), Trip(9, 3, 7)], 10)
-        assert x.entries[(9, 3, 7)] == 2.0
+        assert as_dict(x)[(9, 3, 7)] == 2.0
 
     def test_entry_sum_conservation(self):
         rng = np.random.default_rng(1)
@@ -45,12 +49,10 @@ def rank1_tensor():
     t = rng.uniform(0.5, 2.0, 12)
     p = rng.uniform(0.5, 2.0, 8)
     d = rng.uniform(0.5, 2.0, 9)
-    entries = {}
-    for i in range(12):
-        for j in range(8):
-            for k in range(9):
-                entries[(i, j, k)] = float(t[i] * p[j] * d[k])
-    return MobilityTensor(dims=(12, 8, 9), entries=entries), (t, p, d)
+    dense = t[:, None, None] * p[None, :, None] * d[None, None, :]
+    entries = np.argwhere(dense)
+    return MobilityTensor(dims=(12, 8, 9), entries=entries,
+                          values=dense[tuple(entries.T)]), (t, p, d)
 
 
 def exact_factor_set(t, p, d):
@@ -94,7 +96,8 @@ class TestDecompose:
 
     def test_all_zero_tensor_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            ntf_decompose(MobilityTensor(dims=(4, 4, 4), entries={}), 1)
+            ntf_decompose(MobilityTensor(dims=(4, 4, 4), entries=np.empty((0, 3), dtype=np.intp),
+                                         values=np.empty(0)), 1)
 
     def test_overcomplete_flagged(self):
         x, _ = rank1_tensor()

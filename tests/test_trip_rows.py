@@ -1,0 +1,99 @@
+"""Trip rows through transition_counts, build_tensor and cluster_counts, against Counter."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tripflow.clusters import cluster_counts, cluster_spec
+from tripflow.geo import HOURS_PER_WEEK
+from tripflow.ingest import Trip, transition_counts
+from tripflow.tensor import FactorSet, MobilityTensor, build_tensor
+
+
+@st.composite
+def sized_trips(draw):
+    size = draw(st.integers(1, 6))
+    tract = st.integers(0, size - 1)
+    rows = draw(st.lists(st.tuples(st.integers(0, HOURS_PER_WEEK - 1), tract, tract),
+                         max_size=80))
+    return size, [Trip(*row) for row in rows]
+
+
+def pair_matrix(pairs: Counter, size: int) -> np.ndarray:
+    expected = np.zeros((size, size), dtype=np.int64)
+    for (p, d), count in pairs.items():
+        expected[p, d] = count
+    return expected
+
+
+def random_factor_set(size: int, seed: int) -> FactorSet:
+    rng = np.random.default_rng(seed)
+    modes = [rng.random((dim, 2)) for dim in (HOURS_PER_WEEK, size, size)]
+    time, pickup, dropoff = (m / m.sum(axis=0) for m in modes)
+    return FactorSet(r=2, time=time, pickup=pickup, dropoff=dropoff, scale=np.ones(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_trips())
+def test_transition_counts_match_counter(case):
+    size, trips = case
+    expected = pair_matrix(Counter((t.pickup_tract, t.dropoff_tract) for t in trips), size)
+    for rows in (trips, np.array(trips, dtype=np.int64).reshape(-1, 3)):
+        counts = transition_counts(rows, size)
+        np.testing.assert_array_equal(counts.counts, expected)
+        assert counts.total == len(trips)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_trips())
+def test_build_tensor_matches_counter(case):
+    size, trips = case
+    cells = Counter(trips)
+    x = build_tensor(trips, size)
+    assert x.dims == (HOURS_PER_WEEK, size, size)
+    assert x.entries.tolist() == [list(cell) for cell in sorted(cells)]
+    assert x.values.tolist() == [float(cells[cell]) for cell in sorted(cells)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_trips(), st.integers(0, 1), st.integers(1, 12), st.integers(0, 2**16))
+def test_cluster_counts_match_counter(case, component, n, seed):
+    size, trips = case
+    f = random_factor_set(size, seed)
+    spec = cluster_spec(f, component, n)
+    pairs = Counter((t.pickup_tract, t.dropoff_tract) for t in trips
+                    if t.hour in spec.top_hours and t.dropoff_tract in spec.top_dropoffs)
+    counts = cluster_counts(trips, f, component, n, size)
+    np.testing.assert_array_equal(counts.counts, pair_matrix(pairs, size))
+    assert counts.total == sum(pairs.values())
+
+
+class TestMobilityTensorInvariants:
+    @pytest.mark.parametrize("entries", [
+        [[4, 0, 0]],              # hour out of bounds
+        [[0, 0, 3]],              # dropoff out of bounds
+        [[0, -1, 0]],             # negative pickup
+        [[0, 1, 0], [0, 0, 2]],   # unsorted
+        [[1, 2, 0], [1, 2, 0]],   # duplicated
+    ])
+    def test_rejects_bad_coordinates(self, entries):
+        with pytest.raises(ValueError):
+            MobilityTensor(dims=(4, 3, 3), entries=np.array(entries, dtype=np.intp),
+                           values=np.ones(len(entries)))
+
+    @pytest.mark.parametrize("values", [[1.0, 0.0], [1.0, -2.0], [1.0, np.nan], [1.0]])
+    def test_rejects_bad_values(self, values):
+        with pytest.raises(ValueError):
+            MobilityTensor(dims=(4, 3, 3), entries=np.array([[0, 0, 1], [3, 2, 2]], dtype=np.intp),
+                           values=np.array(values))
+
+    def test_accepts_sorted_unique_coordinates(self):
+        x = MobilityTensor(dims=(4, 3, 3), entries=np.array([[0, 0, 1], [0, 1, 0], [3, 2, 2]],
+                                                            dtype=np.intp),
+                           values=np.array([1.0, 2.5, 4.0]))
+        hours, pickups, dropoffs, values = x.coords()
+        assert hours.tolist() == [0, 0, 3] and pickups.tolist() == [0, 1, 2]
+        assert dropoffs.tolist() == [1, 0, 2] and values.tolist() == [1.0, 2.5, 4.0]

@@ -15,6 +15,7 @@ TRIPFLOW_TRIPS, and TRIPFLOW_OUTPUT_DIR override the file when set.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -166,10 +167,10 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
         raise ConfigError("n must be >= 1")
     if not config.k_grid:
         raise ConfigError("k_grid must list at least one value")
-    if any(not k >= 0 for k in config.k_grid):  # written so that NaN fails too
-        raise ConfigError("k values must be >= 0")
-    if any(not s > 0 for s in config.sigma_grid):
-        raise ConfigError("sigma values must be > 0")
+    if any(not 0 <= k < math.inf for k in config.k_grid):  # written so that NaN fails too
+        raise ConfigError("k values must be finite and >= 0")
+    if any(not 0 < s < math.inf for s in config.sigma_grid):
+        raise ConfigError("sigma values must be finite and > 0")
     for key, grid in (("k_grid", config.k_grid), ("sigma_grid", config.sigma_grid)):
         repeated = sorted({v for i, v in enumerate(grid) if v in grid[:i]})
         if repeated:

@@ -26,7 +26,6 @@ from .hypotheses import HypothesisMatrix
 from .ingest import TransitionCounts
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
-HEADLINE_K = 10.0
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,8 @@ def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
     """Log marginal likelihood of the transition counts under a Dirichlet prior.
 
     Per origin row: lnG(sum a) - lnG(sum a + sum n) + sum_j [lnG(a+n) - lnG(a)],
-    summed over rows. Zero counts give exactly 0; any observed transition makes
-    the value negative.
+    summed over rows. A cell with n = 0 adds exactly +0.0, so the cell term is
+    evaluated only where n > 0; any observed transition makes the value negative.
     """
     from scipy.special import gammaln  # imported here: only ranking pays its import time
 
@@ -77,10 +76,11 @@ def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
     alpha = a.alpha
     if counts.shape != alpha.shape:
         raise ValueError(f"count shape {counts.shape} != prior shape {alpha.shape}")
+    observed = np.nonzero(counts)
+    cells = np.zeros(counts.shape)
+    cells[observed] = gammaln(alpha[observed] + counts[observed]) - gammaln(alpha[observed])
     row_alpha = alpha.sum(axis=1)
-    row_total = counts.sum(axis=1)
-    value = (gammaln(row_alpha) - gammaln(row_alpha + row_total)
-             + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=1))
+    value = gammaln(row_alpha) - gammaln(row_alpha + counts.sum(axis=1)) + cells.sum(axis=1)
     return float(value.sum())
 
 

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, HOURS_PER_WEEK, StateSpace, Tract, haversine_distance, write_tracts
+from .geo import GeoPoint, HOURS_PER_WEEK, StateSpace, Tract, write_tracts
 from .hypotheses import CatalogConfig, HypothesisMatrix, WeightVector, build_mass, build_uniform
 from .ingest import TRIPS_HEADER, Trip
 
@@ -106,22 +106,22 @@ def _categorical(rng: np.random.Generator, weights: np.ndarray, size: int) -> np
     return rng.choice(len(weights), size=size, p=weights / total)
 
 
+def _hours(rng: np.random.Generator, hour_weights: Mapping[int, float], size: int) -> np.ndarray:
+    hour_items = sorted(hour_weights.items())
+    hour_values = np.array([h for h, _ in hour_items])
+    return hour_values[_categorical(rng, [w for _, w in hour_items], size)]
+
+
 def generate_trips(clusters: Sequence[PlantedCluster], space: StateSpace,
                    seed: int) -> list[Trip]:
     """Sample each planted cluster's trips independently per axis, in order."""
     rng = np.random.default_rng(seed)
     trips: list[Trip] = []
     for cluster in clusters:
-        hour_items = sorted(cluster.hour_weights.items())
-        hour_values = np.array([h for h, _ in hour_items])
-        hour_probs = np.array([w for _, w in hour_items], dtype=float)
-        if hour_probs.sum() <= 0:
-            raise ValueError("hour weights have zero sum")
-        hours = hour_values[_categorical(rng, hour_probs, cluster.trip_count)]
+        hours = _hours(rng, cluster.hour_weights, cluster.trip_count)
         pickups = _categorical(rng, cluster.pickup_weights, cluster.trip_count)
         dropoffs = _categorical(rng, cluster.dropoff_weights, cluster.trip_count)
-        trips.extend(Trip(int(h), int(p), int(d))
-                     for h, p, d in zip(hours, pickups, dropoffs))
+        trips.extend(Trip(*row) for row in np.column_stack((hours, pickups, dropoffs)).tolist())
     return trips
 
 
@@ -132,7 +132,8 @@ def generate_from_hypothesis(q: HypothesisMatrix, start_weights: Sequence[float]
 
     Pickups follow ``start_weights``; each dropoff follows the row-normalized
     belief row of its pickup. Hours are fixed to 0 unless ``hour_weights``
-    is supplied.
+    is supplied. Dropoffs take one uniform each and the inverse CDF of their
+    pickup's row: the draws ``rng.choice(size, p=row)`` makes, trip by trip.
     """
     starts = np.asarray(start_weights, dtype=float)
     rows = q.q / np.maximum(q.q.sum(axis=1, keepdims=True), np.finfo(float).tiny)
@@ -143,19 +144,15 @@ def generate_from_hypothesis(q: HypothesisMatrix, start_weights: Sequence[float]
 
     rng = np.random.default_rng(seed)
     pickups = _categorical(rng, starts, count)
-    if hour_weights is None:
-        hours = np.zeros(count, dtype=int)
-    else:
-        hour_items = sorted(hour_weights.items())
-        hour_values = np.array([h for h, _ in hour_items])
-        hour_probs = np.array([w for _, w in hour_items], dtype=float)
-        hours = hour_values[_categorical(rng, hour_probs, count)]
-    size = q.q.shape[0]
-    trips = []
-    for i in range(count):
-        dropoff = rng.choice(size, p=rows[pickups[i]])
-        trips.append(Trip(int(hours[i]), int(pickups[i]), int(dropoff)))
-    return trips
+    hours = np.zeros(count, dtype=int) if hour_weights is None else _hours(rng, hour_weights, count)
+    uniforms = rng.random(count)
+    dropoffs = np.empty(count, dtype=np.int64)
+    for i in np.unique(pickups):  # only rows that occur: a dead row's CDF would be 0/0
+        cdf = rows[i].cumsum()
+        cdf /= cdf[-1]
+        picked = pickups == i
+        dropoffs[picked] = cdf.searchsorted(uniforms[picked], side="right")
+    return [Trip(*row) for row in np.column_stack((hours, pickups, dropoffs)).tolist()]
 
 
 def hour_to_datetime(hour: int) -> datetime:
@@ -176,7 +173,7 @@ def write_trips_file(path, trips: Sequence[Trip], space: StateSpace) -> None:
         for t in trips:
             a = space.tracts[t.pickup_tract].centroid
             b = space.tracts[t.dropoff_tract].centroid
-            km = haversine_distance(a, b)
+            km = float(space.distances[t.pickup_tract, t.dropoff_tract])
             writer.writerow([
                 hour_to_datetime(t.hour).isoformat(),
                 repr(a.lat), repr(a.lon), repr(b.lat), repr(b.lon),

@@ -93,6 +93,8 @@ class TestConfigFile:
         ("[catalog]\nsigma_grid = 2, 0.5, 2\n", "sigma_grid"),
         ("[pipeline]\nk_grid = 1 nan\n", "k values"),
         ("[catalog]\nsigma_grid = nan\n", "sigma values"),
+        ("[pipeline]\nk_grid = 1 inf\n", "k values"),
+        ("[catalog]\nsigma_grid = inf\n", "sigma values"),
     ])
     def test_bad_grid_rejected(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
@@ -262,6 +264,7 @@ class TestCli:
         (["--k", "10", "--k", "10"], "", "k_grid"),
         ([], "[pipeline]\nk_grid =\n", "k_grid"),
         ([], "[catalog]\nsigma_grid = 1 1\n", "sigma_grid"),
+        (["--k", "inf"], "", "k values"),
     ])
     def test_bad_grid_fails_before_any_stage(self, mini_fixture, tmp_path, capsys,
                                              args, text, key):

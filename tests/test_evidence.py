@@ -18,6 +18,7 @@ from tripflow.evidence import (
 from tripflow.hypotheses import (
     HypothesisMatrix,
     WeightVector,
+    build_catalog,
     build_inverse_distance,
     build_mass,
     build_uniform,
@@ -30,6 +31,16 @@ from tripflow.ingest import transition_counts
 def counts_of(matrix) -> TransitionCounts:
     counts = np.asarray(matrix, dtype=np.int64)
     return TransitionCounts(counts=counts, total=int(counts.sum()))
+
+
+def dense_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
+    """The cell term evaluated on every cell, zero counts included."""
+    from scipy.special import gammaln
+
+    row_alpha = alpha.sum(axis=1)
+    value = (gammaln(row_alpha) - gammaln(row_alpha + counts.sum(axis=1))
+             + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=1))
+    return float(value.sum())
 
 
 def polya_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
@@ -119,6 +130,19 @@ class TestLogEvidence:
             lhs = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=1.0))
             assert lhs == pytest.approx(polya_log_evidence(counts, alpha), abs=1e-9)
 
+    def test_bits_equal_dense_formula(self):
+        rng = np.random.default_rng(2015)
+        for _ in range(300):
+            s = int(rng.integers(1, 61))
+            density = rng.choice([0.0, 0.02, 0.3, 1.0])
+            counts = rng.integers(0, 50, size=(s, s)) * (rng.random((s, s)) < density)
+            counts[rng.random(s) < 0.2] = 0  # all-zero rows
+            alpha = 1.0 + 10.0 ** rng.uniform(-3.0, 8.0) * rng.random((s, s))
+            alpha[rng.random((s, s)) < 0.1] = 1.0
+            alpha = np.minimum(alpha, 1e8)
+            value = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=1.0))
+            assert value == dense_log_evidence(counts, alpha)
+
     def test_extra_transition_favors_stronger_belief(self):
         # at two zero-diagonal states the only way beliefs in 0 -> 1 can
         # differ is a committed row versus an all-zero (flat-prior) row
@@ -200,6 +224,20 @@ class TestKSweep:
 
     def test_default_grid(self):
         assert DEFAULT_K_GRID == (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
+
+    def test_city_scores_equal_dense_formula(self, city_space):
+        catalog = build_catalog(city_space)
+        w = WeightVector("venues_all", city_space.property_vector("venues_all"))
+        law = build_mass(city_space, w, "gravitational_target")
+        trips = generate_from_hypothesis(law, np.ones(len(city_space)), 20_000, seed=5)
+        n = transition_counts(trips, len(city_space))
+        by_name = {h.name: h for h in catalog}
+        ks = (0.0, 10.0, 100.0)
+        results = k_sweep(n, catalog, ks)
+        assert len(results) == len(ks) * len(catalog) == 210
+        for r in results:
+            alpha = elicit_prior(by_name[r.hypothesis], r.k).alpha
+            assert r.log_evidence == dense_log_evidence(n.counts, alpha)
 
     def test_empty_grid(self, grid_space):
         with pytest.raises(ValueError):

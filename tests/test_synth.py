@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tripflow.geo import hour_of_week, load_tracts
-from tripflow.hypotheses import build_uniform
-from tripflow.ingest import clean_trips, load_raw_trips
+from tripflow.hypotheses import HypothesisMatrix, build_uniform
+from tripflow.ingest import Trip, clean_trips, load_raw_trips
 from tripflow.synth import (
     GridSpec,
     PlantedCluster,
@@ -98,7 +98,37 @@ class TestGenerateTrips:
             generate_trips([cluster], grid_space, seed=8)
 
 
+def per_trip_from_hypothesis(q, start_weights, count, seed, hour_weights=None):
+    """Reference sampler: one ``rng.choice`` per dropoff, trip by trip."""
+    starts = np.asarray(start_weights, dtype=float)
+    rows = q.q / np.maximum(q.q.sum(axis=1, keepdims=True), np.finfo(float).tiny)
+    rng = np.random.default_rng(seed)
+    pickups = rng.choice(len(starts), size=count, p=starts / starts.sum())
+    hours = np.zeros(count, dtype=int)
+    if hour_weights is not None:
+        items = sorted(hour_weights.items())
+        probs = np.array([w for _, w in items])
+        hours = np.array([h for h, _ in items])[rng.choice(len(items), size=count,
+                                                           p=probs / probs.sum())]
+    return [Trip(int(hours[i]), int(pickups[i]), int(rng.choice(len(rows), p=rows[pickups[i]])))
+            for i in range(count)]
+
+
 class TestGenerateFromHypothesis:
+    @pytest.mark.parametrize("hour_weights", [None, {h: 1.0 + h % 7 for h in range(0, 168, 5)}])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_draws_as_per_trip_choice(self, hour_weights, seed):
+        rng = np.random.default_rng(100 + seed)
+        q = rng.random((30, 30)) ** 4
+        np.fill_diagonal(q, 0.0)
+        q[7] = 0.0  # unreachable all-zero row
+        starts = rng.random(30)
+        starts[7] = 0.0
+        h = HypothesisMatrix("random", q)
+        trips = generate_from_hypothesis(h, starts, 3000, seed, hour_weights=hour_weights)
+        assert trips == per_trip_from_hypothesis(h, starts, 3000, seed, hour_weights)
+        assert all(type(v) is int for v in trips[0])
+
     def test_uniform_law_spreads_over_non_self_targets(self):
         q = build_uniform(6)
         trips = generate_from_hypothesis(q, np.ones(6), 6000, seed=2)

@@ -1,7 +1,7 @@
 """Mobility-cluster discovery and Bayesian hypothesis ranking for trip data."""
 
 from .geo import GeoPoint, StateSpace, Tract, haversine_distance, hour_of_week, locate
-from .ingest import RawTripRecord, TransitionCounts, Trip, clean_trips, transition_counts
+from .ingest import RAW_TRIP, TransitionCounts, Trip, clean_trips, transition_counts
 from .tensor import FactorSet, MobilityTensor, NtfOptions, build_tensor, ntf_decompose, \
     reconstruction_error
 from .clusters import ClusterSpec, cluster_counts, select_cluster_trips, top_indices

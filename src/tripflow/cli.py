@@ -21,8 +21,8 @@ from .config import ConfigError, PipelineConfig, load_config
 from .evidence import k_sweep, write_rankings
 from .geo import StateSpace, load_tracts
 from .hypotheses import build_catalog
-from .ingest import TransitionCounts, clean_trips, load_clean_trips, load_raw_trips, \
-    transition_counts, write_clean_trips
+from .ingest import REJECT_MALFORMED, TransitionCounts, clean_trips, load_clean_trips, \
+    load_raw_trips, transition_counts, write_clean_trips
 from .synth import write_demo_fixture
 from .tensor import build_tensor, load_factors, ntf_decompose, save_factors
 
@@ -65,13 +65,13 @@ def _load_cleaned_trips(out: Path) -> np.ndarray:
 
 def run_ingest(cfg: PipelineConfig) -> dict:
     space, out = _open_stage(cfg, "trips")
-    records, malformed = load_raw_trips(_input_file(cfg.trips, "trips file"))
-    trips, tally = clean_trips(records, space, exclude_self_loops=cfg.exclude_self_loops)
+    raw, malformed = load_raw_trips(_input_file(cfg.trips, "trips file"))
+    trips, tally = clean_trips(raw, space, exclude_self_loops=cfg.exclude_self_loops)
     if malformed:
-        tally["malformed"] = tally.get("malformed", 0) + malformed
-    write_clean_trips(out / "trips_clean.csv", trips)
+        tally[REJECT_MALFORMED] = malformed
+    write_clean_trips(out / "trips_clean.csv", trips.tolist())
     summary = {"accepted": len(trips), "rejected": tally,
-               "input_records": len(records) + malformed}
+               "input_records": len(raw) + malformed}
     with open(out / "ingest_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

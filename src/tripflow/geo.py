@@ -70,34 +70,40 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
+def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """``haversine_distance`` elementwise over broadcast coordinate arrays, bit for bit."""
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = np.radians(np.subtract(lon2, lon1))
+    # float_power and math.asin call the C library's pow and asin, as the scalar
+    # form does; numpy's ``** 2`` and arcsine round differently in the last bit.
+    h = (np.float_power(np.sin(dphi / 2.0), 2)
+         + np.cos(phi1) * np.cos(phi2) * np.float_power(np.sin(dlam / 2.0), 2))
+    s = np.minimum(1.0, np.sqrt(h))
+    arc = np.fromiter(map(math.asin, s.ravel().tolist()), dtype=float, count=s.size)
+    return 2.0 * EARTH_RADIUS_KM * arc.reshape(s.shape)
+
+
 def hour_of_week(t: datetime) -> int:
     """Map a local timestamp to its hour-of-week slot, 0 = Monday 00:00-00:59."""
     return 24 * t.weekday() + t.hour
 
 
-def _on_segment(px, py, x1, y1, x2, y2, eps=1e-12):
-    cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-    if abs(cross) > eps:
-        return False
-    return (min(x1, x2) - eps <= px <= max(x1, x2) + eps
-            and min(y1, y2) - eps <= py <= max(y1, y2) + eps)
+_EDGE_EPS = 1e-12  # boundary tolerance, in degrees
 
 
-def point_in_polygon(p: GeoPoint, ring: Sequence[GeoPoint]) -> bool:
-    """Even-odd containment test in planar (lon, lat) space; boundary is inside."""
-    px, py = p.lon, p.lat
-    inside = False
-    n = len(ring)
-    for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        x1, y1, x2, y2 = a.lon, a.lat, b.lon, b.lat
-        if _on_segment(px, py, x1, y1, x2, y2):
-            return True
-        if (y1 > py) != (y2 > py):
-            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if px < x_cross:
-                inside = not inside
-    return inside
+def _in_ring(lat: np.ndarray, lon: np.ndarray, ring: list[tuple[float, float]]) -> np.ndarray:
+    """Even-odd containment of each point in planar (lon, lat) space; boundary is inside."""
+    inside, on_edge = np.zeros((2, len(lat)), dtype=bool)
+    for (y1, x1), (y2, x2) in zip(ring, ring[1:] + ring[:1]):
+        cross = (x2 - x1) * (lat - y1) - (y2 - y1) * (lon - x1)
+        on_edge |= ((np.abs(cross) <= _EDGE_EPS)
+                    & (min(x1, x2) - _EDGE_EPS <= lon) & (lon <= max(x1, x2) + _EDGE_EPS)
+                    & (min(y1, y2) - _EDGE_EPS <= lat) & (lat <= max(y1, y2) + _EDGE_EPS))
+        if y1 != y2:  # a horizontal edge never straddles the ray
+            x_cross = x1 + (lat - y1) * (x2 - x1) / (y2 - y1)
+            inside ^= ((y1 > lat) != (y2 > lat)) & (lon < x_cross)
+    return inside | on_edge
 
 
 @dataclass(frozen=True)
@@ -135,12 +141,11 @@ class StateSpace:
     def from_tracts(cls, tracts: Sequence[Tract]) -> "StateSpace":
         ordered = tuple(sorted(tracts, key=lambda t: t.index))
         n = len(ordered)
+        lat, lon = np.array([(t.centroid.lat, t.centroid.lon) for t in ordered]).reshape(-1, 2).T
+        i, j = np.triu_indices(n, 1)
         dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = max(haversine_distance(ordered[i].centroid, ordered[j].centroid),
-                        MIN_DISTANCE_KM)
-                dist[i, j] = dist[j, i] = d
+        dist[i, j] = dist[j, i] = np.maximum(haversine_km(lat[i], lon[i], lat[j], lon[j]),
+                                             MIN_DISTANCE_KM)
         return cls(tracts=ordered, distances=dist)
 
     def property_vector(self, key: str) -> np.ndarray:
@@ -153,27 +158,37 @@ class StateSpace:
         return values
 
 
-def locate(p: GeoPoint, space: StateSpace) -> Optional[int]:
-    """Find the tract containing ``p``.
+def locate(points, space: StateSpace) -> np.ndarray:
+    """Tract index of each (lat, lon) row of ``points``, as an int64 array.
 
-    With polygon geometry present, returns the lowest-index tract whose ring
-    contains the point (boundary counts as inside) or None if no ring does.
-    In a polygon-free space, falls back to the nearest centroid.
+    With polygon geometry present, a point maps to the lowest-index tract whose
+    ring contains it (boundary counts as inside), or to -1 if no ring does. In
+    a polygon-free space it maps to the nearest centroid, ties to the lowest index.
     """
     if not space.tracts:
         raise ValueError("empty state space")
-    any_polygon = any(t.polygon is not None for t in space.tracts)
-    if any_polygon:
-        for t in space.tracts:  # index order, so the first hit is the lowest index
-            if t.polygon is not None and point_in_polygon(p, t.polygon):
-                return t.index
-        return None
-    best, best_d = 0, math.inf
-    for t in space.tracts:
-        d = haversine_distance(p, t.centroid)
-        if d < best_d:
-            best, best_d = t.index, d
-    return best
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    lat, lon = points.T
+    if not any(t.polygon is not None for t in space.tracts):
+        best, best_d = np.zeros(len(points), dtype=np.int64), np.full(len(points), math.inf)
+        for t in space.tracts:
+            d = haversine_km(lat, lon, t.centroid.lat, t.centroid.lon)
+            closer = d < best_d
+            best[closer], best_d[closer] = t.index, d[closer]
+        return best
+    found = np.full(len(points), -1, dtype=np.int64)
+    by_lat = np.argsort(lat, kind="stable")
+    sorted_lat = lat[by_lat]
+    for t in space.tracts:  # index order: a point keeps its first, lowest-index hit
+        if t.polygon is not None:
+            # Outside the ring's bounding box widened by the tolerance, a point is on
+            # no edge and crosses an even number of them.
+            ring = [(p.lat, p.lon) for p in t.polygon]
+            lo, hi = np.min(ring, axis=0) - _EDGE_EPS, np.max(ring, axis=0) + _EDGE_EPS
+            band = by_lat[sorted_lat.searchsorted(lo[0]):sorted_lat.searchsorted(hi[0], "right")]
+            near = band[(found[band] < 0) & (lon[band] >= lo[1]) & (lon[band] <= hi[1])]
+            found[near[_in_ring(lat[near], lon[near], ring)]] = t.index
+    return found
 
 
 def _parse_polygon(text: str) -> Optional[tuple[GeoPoint, ...]]:

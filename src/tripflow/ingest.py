@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import csv
-import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .geo import HOURS_PER_WEEK, GeoPoint, StateSpace, hour_of_week, locate
+from .geo import HOURS_PER_WEEK, StateSpace, hour_of_week, locate
 
 # Rejection reasons, in the order the filters are applied; a record is
 # tallied under the first reason it violates.
@@ -24,14 +22,13 @@ REJECT_OUT_OF_AREA = "out_of_area"
 REJECT_SELF_LOOP = "self_loop"
 
 
-@dataclass(frozen=True)
-class RawTripRecord:
-    pickup_datetime: datetime
-    pickup: GeoPoint
-    dropoff: GeoPoint
-    trip_distance: float
-    trip_time_in_secs: float
-    passenger_count: int
+TRIPS_HEADER = [
+    "pickup_datetime", "pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon",
+    "trip_distance", "trip_time_in_secs", "passenger_count",
+]
+# One parsed raw-trip row: the trips file's columns, the timestamp reduced to its hour-of-week.
+RAW_TRIP = np.dtype([("hour", np.int64), *((name, float) for name in TRIPS_HEADER[1:7]),
+                     ("passenger_count", np.int64)])
 
 
 class Trip(NamedTuple):
@@ -69,43 +66,40 @@ class TransitionCounts:
 
 
 def clean_trips(
-    records: Iterable[RawTripRecord],
+    raw: np.ndarray,
     space: StateSpace,
     exclude_self_loops: bool = True,
-) -> tuple[list[Trip], dict[str, int]]:
-    """Apply the cleaning filters and map endpoints to tracts.
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Apply the cleaning filters to ``RAW_TRIP`` rows and map endpoints to tracts.
 
-    Drops records with non-positive odometer distance, duration, or passenger
-    count, records whose endpoints locate outside the state space, and (when
-    ``exclude_self_loops``) rides that start and end in the same tract.
-    Returns surviving trips in input order plus a per-reason rejection tally;
-    ``len(trips) + sum(tally.values())`` always equals the input length.
-    Records whose fields are missing or of the wrong type are tallied as
-    malformed; any other error propagates.
+    Drops rows with a non-positive or non-finite odometer distance or duration,
+    a non-positive passenger count, an endpoint outside the state space, and
+    (when ``exclude_self_loops``) rides that start and end in the same tract.
+    Returns the surviving trips in input order as (m, 3) int64 trip rows, plus
+    a tally of the reasons that occurred, each row under the first it violates:
+    ``len(rows) + sum(tally.values())`` always equals the input length.
     """
     if not space.tracts:
         raise ValueError("empty state space")
-    trips: list[Trip] = []
-    tally: Counter[str] = Counter()
-    for rec in records:
-        try:
-            if not math.isfinite(rec.trip_distance) or rec.trip_distance <= 0:
-                tally[REJECT_DISTANCE] += 1
-            elif not math.isfinite(rec.trip_time_in_secs) or rec.trip_time_in_secs <= 0:
-                tally[REJECT_TIME] += 1
-            elif rec.passenger_count <= 0:
-                tally[REJECT_PASSENGERS] += 1
-            else:
-                pickup, dropoff = locate(rec.pickup, space), locate(rec.dropoff, space)
-                if pickup is None or dropoff is None:
-                    tally[REJECT_OUT_OF_AREA] += 1
-                elif exclude_self_loops and pickup == dropoff:
-                    tally[REJECT_SELF_LOOP] += 1
-                else:
-                    trips.append(Trip(hour_of_week(rec.pickup_datetime), pickup, dropoff))
-        except (AttributeError, TypeError, ValueError):
-            tally[REJECT_MALFORMED] += 1
-    return trips, tally
+    raw = np.asarray(raw, dtype=RAW_TRIP)
+    ends = np.column_stack([raw[name] for name in TRIPS_HEADER[1:5]])  # (lat, lon) twice
+    tracts = locate(ends.reshape(-1, 2), space).reshape(-1, 2)
+    distance, secs = raw["trip_distance"], raw["trip_time_in_secs"]
+    filters = (
+        (REJECT_DISTANCE, ~(np.isfinite(distance) & (distance > 0))),
+        (REJECT_TIME, ~(np.isfinite(secs) & (secs > 0))),
+        (REJECT_PASSENGERS, raw["passenger_count"] <= 0),
+        (REJECT_OUT_OF_AREA, (tracts < 0).any(axis=1)),
+        (REJECT_SELF_LOOP, (tracts[:, 0] == tracts[:, 1]) & exclude_self_loops),
+    )
+    keep = np.ones(len(raw), dtype=bool)
+    tally: dict[str, int] = {}
+    for reason, rejected in filters:
+        hits = int(np.count_nonzero(keep & rejected))
+        if hits:
+            tally[reason] = hits
+        keep &= ~rejected
+    return np.column_stack((raw["hour"], tracts))[keep], tally
 
 
 def transition_counts(trips: TripRows, size: int) -> TransitionCounts:
@@ -115,19 +109,14 @@ def transition_counts(trips: TripRows, size: int) -> TransitionCounts:
     return TransitionCounts(counts=counts.reshape(size, size), total=len(rows))
 
 
-TRIPS_HEADER = [
-    "pickup_datetime", "pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon",
-    "trip_distance", "trip_time_in_secs", "passenger_count",
-]
+def load_raw_trips(path) -> tuple[np.ndarray, int]:
+    """Read a trips CSV; returns its rows as a ``RAW_TRIP`` array plus a malformed-row count.
 
-
-def load_raw_trips(path) -> tuple[list[RawTripRecord], int]:
-    """Read a trips CSV; returns parsed records plus a malformed-row count.
-
-    Rows that fail to parse (bad timestamp, non-numeric fields, wrong column
-    count) are counted, never fatal: large trip files always contain noise.
+    Rows that fail to parse (bad timestamp, non-numeric fields, too few
+    columns) or carry a non-finite or out-of-range coordinate are counted,
+    never fatal: large trip files always contain noise.
     """
-    records: list[RawTripRecord] = []
+    rows = []
     malformed = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -136,17 +125,14 @@ def load_raw_trips(path) -> tuple[list[RawTripRecord], int]:
             raise ValueError(f"{path}: expected header {','.join(TRIPS_HEADER)}")
         for row in reader:
             try:
-                records.append(RawTripRecord(
-                    pickup_datetime=datetime.fromisoformat(row[0]),
-                    pickup=GeoPoint(float(row[1]), float(row[2])),
-                    dropoff=GeoPoint(float(row[3]), float(row[4])),
-                    trip_distance=float(row[5]),
-                    trip_time_in_secs=float(row[6]),
-                    passenger_count=int(row[7]),
-                ))
+                rows.append((hour_of_week(datetime.fromisoformat(row[0])), *map(float, row[1:7]),
+                             min(max(int(row[7]), -2**63), 2**63 - 1)))  # only its sign is used
             except (IndexError, ValueError):
                 malformed += 1
-    return records, malformed
+    raw = np.array(rows, dtype=RAW_TRIP)
+    ends = np.column_stack([raw[name] for name in TRIPS_HEADER[1:5]])
+    valid = (np.abs(ends) <= (90.0, 180.0, 90.0, 180.0)).all(axis=1)  # NaN compares False
+    return raw[valid], malformed + int(np.count_nonzero(~valid))
 
 
 def write_clean_trips(path, trips: Iterable[Trip]) -> None:

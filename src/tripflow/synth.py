@@ -167,20 +167,17 @@ def write_trips_file(path, trips: Sequence[Trip], space: StateSpace) -> None:
     back to its original tract; odometer distance and duration are derived
     from the centroid distance and clamped positive.
     """
+    stamps = [hour_to_datetime(hour).isoformat() for hour in range(HOURS_PER_WEEK)]
+    pairs: dict[tuple[int, int], str] = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIPS_HEADER)
-        for t in trips:
-            a = space.tracts[t.pickup_tract].centroid
-            b = space.tracts[t.dropoff_tract].centroid
-            km = float(space.distances[t.pickup_tract, t.dropoff_tract])
-            writer.writerow([
-                hour_to_datetime(t.hour).isoformat(),
-                repr(a.lat), repr(a.lon), repr(b.lat), repr(b.lon),
-                repr(max(km * 0.621371, 0.01)),
-                int(60 + 120 * km),
-                1,
-            ])
+        csv.writer(fh).writerow(TRIPS_HEADER)
+        for hour, pickup, dropoff in trips:
+            if (pickup, dropoff) not in pairs:
+                a, b = space.tracts[pickup].centroid, space.tracts[dropoff].centroid
+                km = float(space.distances[pickup, dropoff])
+                pairs[pickup, dropoff] = (f"{a.lat!r},{a.lon!r},{b.lat!r},{b.lon!r},"
+                                          f"{max(km * 0.621371, 0.01)!r},{int(60 + 120 * km)},1")
+            fh.write(f"{stamps[hour]},{pairs[pickup, dropoff]}\r\n")  # csv's line ending
 
 
 # --- shipped demo fixture ------------------------------------------------------

@@ -1,9 +1,11 @@
+import math
 from itertools import permutations
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
-from tripflow.geo import GeoPoint, StateSpace, Tract
+from tripflow.geo import GeoPoint, StateSpace, Tract, haversine_distance
 from tripflow.hypotheses import CatalogConfig
 from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
 from tripflow.tensor import FactorSet, MobilityTensor
@@ -81,4 +83,47 @@ def best_match_min_cosine(f: FactorSet, generators) -> float:
                 cosine(f.dropoff[:, c], generators[g][2]))
             for c, g in enumerate(perm))
         best = max(best, worst)
+    return best
+
+
+# --- scalar point location: the per-point loop that ``geo.locate`` replaced, kept as its oracle
+
+
+def _on_segment(px, py, x1, y1, x2, y2, eps=1e-12):
+    cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+    if abs(cross) > eps:
+        return False
+    return (min(x1, x2) - eps <= px <= max(x1, x2) + eps
+            and min(y1, y2) - eps <= py <= max(y1, y2) + eps)
+
+
+def point_in_polygon(p: GeoPoint, ring: Sequence[GeoPoint]) -> bool:
+    """Even-odd containment test in planar (lon, lat) space; boundary is inside."""
+    px, py = p.lon, p.lat
+    inside = False
+    n = len(ring)
+    for i in range(n):
+        a, b = ring[i], ring[(i + 1) % n]
+        x1, y1, x2, y2 = a.lon, a.lat, b.lon, b.lat
+        if _on_segment(px, py, x1, y1, x2, y2):
+            return True
+        if (y1 > py) != (y2 > py):
+            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            if px < x_cross:
+                inside = not inside
+    return inside
+
+
+def scalar_locate(p: GeoPoint, space: StateSpace) -> Optional[int]:
+    """Lowest-index ring containing ``p`` (None if none), or the nearest centroid."""
+    if any(t.polygon is not None for t in space.tracts):
+        for t in space.tracts:
+            if t.polygon is not None and point_in_polygon(p, t.polygon):
+                return t.index
+        return None
+    best, best_d = 0, math.inf
+    for t in space.tracts:
+        d = haversine_distance(p, t.centroid)
+        if d < best_d:
+            best, best_d = t.index, d
     return best

@@ -17,10 +17,10 @@ import pytest
 from tripflow.cli import run_pipeline
 from tripflow.config import load_config
 from tripflow.evidence import PriorMatrix, elicit_prior, log_evidence, rank_hypotheses
-from tripflow.geo import GeoPoint
+from tripflow.geo import GeoPoint, hour_of_week
 from tripflow.hypotheses import CatalogConfig, HypothesisMatrix, WeightVector, \
     build_catalog, build_mass
-from tripflow.ingest import RawTripRecord, TransitionCounts, clean_trips
+from tripflow.ingest import TransitionCounts, clean_trips
 from tripflow.synth import write_demo_fixture
 from tripflow.tensor import NtfOptions, ntf_decompose
 
@@ -224,9 +224,9 @@ def test_criterion_9_cleaning_conservation(grid_space):
     when = datetime(2013, 1, 7, 9, 0)
 
     def record(pickup, dropoff, distance=1.0, secs=600.0, passengers=1):
-        return RawTripRecord(pickup_datetime=when, pickup=pickup, dropoff=dropoff,
-                             trip_distance=distance, trip_time_in_secs=secs,
-                             passenger_count=passengers)
+        """One ``RAW_TRIP`` row."""
+        return (hour_of_week(when), pickup.lat, pickup.lon, dropoff.lat, dropoff.lon,
+                distance, secs, passengers)
 
     fixture = [record(centroids[0], centroids[1]) for _ in range(6)]
     fixture.insert(1, record(centroids[0], centroids[1], distance=0.0))

@@ -1,12 +1,17 @@
+import csv
+import math
+from collections import Counter
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tripflow.geo import GeoPoint
+from tripflow.geo import GeoPoint, hour_of_week
 from tripflow.ingest import (
+    RAW_TRIP,
     TRIPS_HEADER,
-    RawTripRecord,
     Trip,
     clean_trips,
     load_raw_trips,
@@ -14,14 +19,17 @@ from tripflow.ingest import (
     transition_counts,
     write_clean_trips,
 )
+from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
+
+from conftest import scalar_locate
 
 MONDAY = datetime(2013, 1, 7, 9, 0)
 
 
 def record(pickup, dropoff, distance=1.0, secs=600.0, passengers=1, when=MONDAY):
-    return RawTripRecord(pickup_datetime=when, pickup=pickup, dropoff=dropoff,
-                         trip_distance=distance, trip_time_in_secs=secs,
-                         passenger_count=passengers)
+    """One ``RAW_TRIP`` row."""
+    return (hour_of_week(when), pickup.lat, pickup.lon, dropoff.lat, dropoff.lon,
+            distance, secs, passengers)
 
 
 @pytest.fixture()
@@ -47,39 +55,28 @@ def test_accepted_trip_fields(grid_space, centroids):
     trips, tally = clean_trips([record(centroids[3], centroids[7], when=wednesday)],
                                grid_space)
     assert tally == {}
-    assert trips == [Trip(hour=57, pickup_tract=3, dropoff_tract=7)]
+    assert [Trip(*row) for row in trips.tolist()] == [Trip(hour=57, pickup_tract=3,
+                                                           dropoff_tract=7)]
 
 
 def test_self_loop_flag(grid_space, centroids):
     records = [record(centroids[4], centroids[4])]
     trips, tally = clean_trips(records, grid_space, exclude_self_loops=True)
-    assert trips == [] and tally == {"self_loop": 1}
+    assert trips.tolist() == [] and tally == {"self_loop": 1}
     trips, tally = clean_trips(records, grid_space, exclude_self_loops=False)
     assert len(trips) == 1 and tally == {}
-    assert trips[0].pickup_tract == trips[0].dropoff_tract == 4
+    trip = Trip(*trips[0].tolist())
+    assert trip.pickup_tract == trip.dropoff_tract == 4
 
 
 def test_empty_input(grid_space):
-    assert clean_trips([], grid_space) == ([], {})
+    trips, tally = clean_trips([], grid_space)
+    assert (trips.tolist(), tally) == ([], {})
 
 
 def test_bad_time_filter(grid_space, centroids):
     trips, tally = clean_trips([record(centroids[0], centroids[1], secs=0.0)], grid_space)
-    assert trips == [] and tally == {"time": 1}
-
-
-def test_malformed_record_tallied(grid_space, centroids):
-    class Broken:
-        trip_distance = 1.0
-        trip_time_in_secs = 1.0
-        passenger_count = 1
-        pickup = None
-        dropoff = None
-        pickup_datetime = MONDAY
-
-    trips, tally = clean_trips([Broken(), record(centroids[0], centroids[1])], grid_space)
-    assert len(trips) == 1
-    assert tally == {"malformed": 1}
+    assert trips.tolist() == [] and tally == {"time": 1}
 
 
 def test_unrelated_error_propagates(grid_space, centroids, monkeypatch):
@@ -110,7 +107,7 @@ def test_conservation_fuzz(grid_space, centroids):
 def test_order_preserved(grid_space, centroids):
     records = [record(centroids[i], centroids[(i + 3) % 20]) for i in range(10)]
     trips, _ = clean_trips(records, grid_space)
-    assert [t.pickup_tract for t in trips] == list(range(10))
+    assert [Trip(*row).pickup_tract for row in trips.tolist()] == list(range(10))
 
 
 class TestTransitionCounts:
@@ -169,14 +166,14 @@ class TestTripFiles:
         assert malformed == 2
 
     def test_raw_loader_unrelated_error_propagates(self, tmp_path, monkeypatch):
-        def broken_point(lat, lon):
-            raise RuntimeError("GeoPoint is broken")
+        def broken_hour(t):
+            raise RuntimeError("hour_of_week is broken")
 
         path = tmp_path / "trips.csv"
         path.write_text(",".join(TRIPS_HEADER) + "\n"
                         "2013-01-07T09:00:00,0.0,0.0,0.0,0.1,1.0,600,1\n", encoding="utf-8")
-        monkeypatch.setattr("tripflow.ingest.GeoPoint", broken_point)
-        with pytest.raises(RuntimeError, match="GeoPoint is broken"):
+        monkeypatch.setattr("tripflow.ingest.hour_of_week", broken_hour)
+        with pytest.raises(RuntimeError, match="hour_of_week is broken"):
             load_raw_trips(path)
 
     def test_clean_loader_rejects_wrong_header(self, tmp_path):
@@ -195,3 +192,121 @@ class TestTripFiles:
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
             load_raw_trips(path)
+
+
+# --- the per-record loader and cleaner that the RAW_TRIP path replaced, kept as its oracle
+
+
+def per_record_ingest(path, space, exclude_self_loops=True):
+    """Rows, tally and input count as the per-record loader, cleaner and CLI produced them."""
+    records, malformed = [], 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            try:
+                records.append((datetime.fromisoformat(row[0]),
+                                GeoPoint(float(row[1]), float(row[2])),
+                                GeoPoint(float(row[3]), float(row[4])),
+                                float(row[5]), float(row[6]), int(row[7])))
+            except (IndexError, ValueError):
+                malformed += 1
+    trips, tally = [], Counter()
+    for when, pickup, dropoff, distance, secs, passengers in records:
+        if not math.isfinite(distance) or distance <= 0:
+            tally["distance"] += 1
+        elif not math.isfinite(secs) or secs <= 0:
+            tally["time"] += 1
+        elif passengers <= 0:
+            tally["passengers"] += 1
+        else:
+            a, b = scalar_locate(pickup, space), scalar_locate(dropoff, space)
+            if a is None or b is None:
+                tally["out_of_area"] += 1
+            elif exclude_self_loops and a == b:
+                tally["self_loop"] += 1
+            else:
+                trips.append([hour_of_week(when), a, b])
+    if malformed:
+        tally["malformed"] += malformed
+    return trips, dict(tally), len(records) + malformed
+
+
+def columnar_ingest(path, space, exclude_self_loops=True):
+    raw, malformed = load_raw_trips(path)
+    trips, tally = clean_trips(raw, space, exclude_self_loops=exclude_self_loops)
+    if malformed:
+        tally["malformed"] = malformed
+    return trips.tolist(), tally, len(raw) + malformed
+
+
+DIRTY_SPACE = generate_state_space(GridSpec(rows=4, cols=5), PropertyRecipe(keys=()), seed=0)
+# Each menu starts with its clean values; the rest are the noise a raw file carries.
+DIRTY_MENUS = {
+    "when": ["2013-01-07T09:00:00", "2013-01-09", "2013-01-12T23:59:59+05:00", "not-a-date",
+             "", "2013-02-30T00:00:00"],
+    "end": [(repr(t.centroid.lat), repr(t.centroid.lon)) for t in DIRTY_SPACE.tracts[:3]]
+           + [(repr(p.lat), repr(p.lon)) for p in DIRTY_SPACE.tracts[6].polygon]
+           + [("10.0", "10.0"), ("95.0", "0.0"), ("40.7", "-181"), ("nan", "-74.0"),
+              ("40.7", "inf"), ("-inf", "0"), ("junk", "0"), ("", ""), ("1e400", "0")],
+    "distance": ["1.5", "0.0001", "0", "-2", "nan", "inf", "junk", "1_0.5"],
+    "secs": ["600", "1e3", "0", "-1", "nan", "-inf", "x"],
+    "passengers": ["1", "+2", " 4 ", "99999999999999999999", "0", "-3",
+                   "-99999999999999999999", "1.0", ""],
+    "length": [8, 8, 8, 8, 8, 9, 7, 3],  # 9: an extra column, 7 and 3: short rows
+}
+
+
+def dirty_row(when, pickup, dropoff, distance, secs, passengers, length):
+    return ([when, *pickup, *dropoff, distance, secs, passengers] + ["extra"])[:length]
+
+
+def write_raw(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIPS_HEADER)
+        writer.writerows(rows)
+
+
+class TestPerRecordOracle:
+    """``load_raw_trips`` + ``clean_trips`` against the per-record path: same rows, same tally."""
+
+    @given(st.lists(st.builds(dirty_row, *(st.sampled_from(DIRTY_MENUS[key]) for key in (
+               "when", "end", "end", "distance", "secs", "passengers", "length"))),
+               max_size=40),
+           st.booleans())
+    def test_dirty_rows(self, tmp_path_factory, rows, exclude_self_loops):
+        path = tmp_path_factory.getbasetemp() / "dirty_rows.csv"
+        write_raw(path, rows)
+        assert (columnar_ingest(path, DIRTY_SPACE, exclude_self_loops)
+                == per_record_ingest(path, DIRTY_SPACE, exclude_self_loops))
+
+    def test_dirty_file(self, tmp_path):
+        rng = np.random.default_rng(11)
+
+        def pick(key, clean=1):  # one of the first ``clean`` values three times in four
+            menu = DIRTY_MENUS[key]
+            return menu[rng.integers(clean if rng.random() < 0.75 else len(menu))]
+
+        rows = [dirty_row(pick("when"), pick("end", 7), pick("end", 7), pick("distance"),
+                          pick("secs"), pick("passengers"), pick("length"))
+                for _ in range(3000)]
+        write_raw(tmp_path / "trips.csv", rows)
+        trips, tally, total = columnar_ingest(tmp_path / "trips.csv", DIRTY_SPACE)
+        assert (trips, tally, total) == per_record_ingest(tmp_path / "trips.csv", DIRTY_SPACE)
+        assert total == 3000 and len(trips) > 500
+        assert set(tally) == {"malformed", "distance", "time", "passengers", "out_of_area",
+                              "self_loop"}
+
+
+def test_huge_passenger_counts_keep_their_sign(tmp_path):
+    centroids = [t.centroid for t in DIRTY_SPACE.tracts]
+    rows = [["2013-01-07T09:00:00", repr(centroids[0].lat), repr(centroids[0].lon),
+             repr(centroids[1].lat), repr(centroids[1].lon), "1.0", "600", passengers]
+            for passengers in ("99999999999999999999", "-99999999999999999999")]
+    write_raw(tmp_path / "trips.csv", rows)
+    raw, malformed = load_raw_trips(tmp_path / "trips.csv")
+    assert raw.dtype == RAW_TRIP and len(raw) == 2 and malformed == 0
+    trips, tally = clean_trips(raw, DIRTY_SPACE)
+    assert trips.tolist() == [[9, 0, 1]]
+    assert tally == {"passengers": 1}

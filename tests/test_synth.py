@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from tripflow.geo import hour_of_week, load_tracts
 from tripflow.hypotheses import HypothesisMatrix, build_uniform
-from tripflow.ingest import Trip, clean_trips, load_raw_trips
+from tripflow.ingest import TRIPS_HEADER, Trip, clean_trips, load_raw_trips
 from tripflow.synth import (
     GridSpec,
     PlantedCluster,
@@ -185,7 +187,29 @@ def test_trips_file_roundtrip(tmp_path, grid_space):
     assert malformed == 0
     cleaned, tally = clean_trips(records, space, exclude_self_loops=False)
     assert tally == {}
-    assert cleaned == trips
+    assert [Trip(*row) for row in cleaned.tolist()] == trips
+
+
+def per_row_trips_file(path, trips, space):
+    """Reference writer: one ``isoformat`` and five ``repr`` calls per row, through csv."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIPS_HEADER)
+        for t in trips:
+            a = space.tracts[t.pickup_tract].centroid
+            b = space.tracts[t.dropoff_tract].centroid
+            km = float(space.distances[t.pickup_tract, t.dropoff_tract])
+            writer.writerow([hour_to_datetime(t.hour).isoformat(),
+                             repr(a.lat), repr(a.lon), repr(b.lat), repr(b.lon),
+                             repr(max(km * 0.621371, 0.01)), int(60 + 120 * km), 1])
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_trips_file_bytes_equal_per_row_writer(tmp_path, seed):
+    space, trips, _ = build_demo_fixture(seed=seed)
+    write_trips_file(tmp_path / "fast.csv", trips, space)
+    per_row_trips_file(tmp_path / "reference.csv", trips, space)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestDemoFixture:

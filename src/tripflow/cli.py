@@ -125,20 +125,14 @@ def run_rank(cfg: PipelineConfig) -> dict:
     trips = _load_cleaned_trips(out)
     catalog = build_catalog(space, cfg.catalog)
 
-    count_sets: list[tuple[str, TransitionCounts]] = [
-        ("overall", transition_counts(trips, len(space)))]
     cluster_files = sorted(out.glob("cluster_*_counts.csv"))
     if not cluster_files:
         raise FileNotFoundError(f"no cluster counts in {out}; run extract-clusters first")
-    for path in cluster_files:
-        label = path.name.removesuffix("_counts.csv")
-        count_sets.append((label, _load_counts_file(path, len(space))))
-
-    rows = []
-    for label, counts in count_sets:
-        for result in k_sweep(counts, catalog, cfg.k_grid):
-            rows.append((label, result))
-    write_rankings(out / "rankings.csv", rows)
+    count_sets = [("overall", transition_counts(trips, len(space)))] + [
+        (path.name.removesuffix("_counts.csv"), _load_counts_file(path, len(space)))
+        for path in cluster_files]
+    write_rankings(out / "rankings.csv", [(label, result) for label, counts in count_sets
+                                          for result in k_sweep(counts, catalog, cfg.k_grid)])
     return {"count_sets": [label for label, _ in count_sets],
             "k_grid": list(cfg.k_grid), "hypotheses": len(catalog)}
 

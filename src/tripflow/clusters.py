@@ -38,20 +38,16 @@ def top_indices(column: Sequence[float], n: int) -> list[int]:
     weights = np.asarray(column, dtype=float)
     if weights.size == 0:
         raise ValueError("empty weight vector")
-    ranked = sorted(range(weights.size), key=lambda i: (-weights[i], i))
-    return ranked[:n]
+    return np.lexsort((np.arange(weights.size), -weights))[:n].tolist()
 
 
 def cluster_spec(f: FactorSet, component: int, n: int) -> ClusterSpec:
     """Top-n hours and dropoff tracts of one component's factor columns."""
     if not 0 <= component < f.r:
         raise IndexError(f"component {component} out of range for r={f.r}")
-    return ClusterSpec(
-        component=component,
-        top_hours=frozenset(top_indices(f.time[:, component], n)),
-        top_dropoffs=frozenset(top_indices(f.dropoff[:, component], n)),
-        n=n,
-    )
+    hours, dropoffs = (top_indices(m[:, component], n) for m in (f.time, f.dropoff))
+    return ClusterSpec(component=component, top_hours=frozenset(hours),
+                       top_dropoffs=frozenset(dropoffs), n=n)
 
 
 def select_cluster_trips(trips: TripRows, spec: ClusterSpec) -> np.ndarray:
@@ -64,17 +60,17 @@ def select_cluster_trips(trips: TripRows, spec: ClusterSpec) -> np.ndarray:
 def cluster_counts(trips: TripRows, f: FactorSet, component: int,
                    n: int, size: int) -> TransitionCounts:
     """Transition counts restricted to one component's cluster."""
-    spec = cluster_spec(f, component, n)
-    return transition_counts(select_cluster_trips(trips, spec), size)
+    return transition_counts(select_cluster_trips(trips, cluster_spec(f, component, n)), size)
 
 
 def write_membership(path, f: FactorSet, component: int, n: int) -> None:
     """Export one component's selected hours and dropoff tracts with weights."""
-    spec = cluster_spec(f, component, n)
+    if not 0 <= component < f.r:
+        raise IndexError(f"component {component} out of range for r={f.r}")
+    rows = [[kind, i, repr(float(m[i, component]))]
+            for kind, m in (("hour", f.time), ("dropoff", f.dropoff))
+            for i in top_indices(m[:, component], n)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "index", "weight"])
-        for h in top_indices(f.time[:, component], n):
-            writer.writerow(["hour", h, repr(float(f.time[h, component]))])
-        for d in top_indices(f.dropoff[:, component], n):
-            writer.writerow(["dropoff", d, repr(float(f.dropoff[d, component]))])
+        writer.writerows(rows)

@@ -3,9 +3,10 @@
 Every hypothesis matrix is turned into a Dirichlet prior over each origin
 row, and hypotheses are compared by the marginal likelihood of the observed
 transition counts under that prior (first-order Markov, integrating out the
-transition probabilities). Larger log evidence means the hypothesis explains
-the trails better; ranking the catalog at a fixed concentration k yields the
-plausibility ordering.
+transition probabilities). One scorer, `_log_evidence`, evaluates it for
+`log_evidence` (any prior) and `k_sweep` (the catalog at each k). Larger log
+evidence means the hypothesis explains the trails better; ranking the catalog
+at a fixed concentration k yields the plausibility ordering.
 
 Elicitation rule: each belief row is L1-normalized to q' and the prior row is
 alpha = 1 + k * |S| * q'. The +1 floor keeps every prior proper, k = 0
@@ -17,6 +18,7 @@ scaling any belief row by a positive constant changes nothing downstream.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,6 +51,11 @@ class EvidenceResult:
     rank: int
 
 
+def _row_normalized(q: np.ndarray) -> np.ndarray:
+    row_sums = q.sum(axis=1, keepdims=True)
+    return np.divide(q, row_sums, out=np.zeros_like(q), where=row_sums > 0)
+
+
 def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     """Elicit Dirichlet pseudo-counts from a belief matrix at concentration k.
 
@@ -57,57 +64,61 @@ def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    row_sums = q.q.sum(axis=1, keepdims=True)
-    normalized = np.divide(q.q, row_sums, out=np.zeros_like(q.q), where=row_sums > 0)
-    size = q.q.shape[0]
-    return PriorMatrix(alpha=1.0 + k * size * normalized, k=k)
+    return PriorMatrix(alpha=1.0 + k * q.q.shape[0] * _row_normalized(q.q), k=k)
 
 
-def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
-    """Log marginal likelihood of the transition counts under a Dirichlet prior.
+def _log_evidence(counts: np.ndarray, observed: np.ndarray, row_counts: np.ndarray,
+                  alpha: np.ndarray) -> float:
+    """Sum over rows of lnG(sum a) - lnG(sum a + sum n) + sum_j [lnG(a+n) - lnG(a)].
 
-    Per origin row: lnG(sum a) - lnG(sum a + sum n) + sum_j [lnG(a+n) - lnG(a)],
-    summed over rows. A cell with n = 0 adds exactly +0.0, so the cell term is
-    evaluated only where n > 0; any observed transition makes the value negative.
+    A cell with n = 0 adds exactly +0.0, so the cell term is evaluated only at
+    the observed (flat, C-order) cells, then put into zeros and summed over whole rows.
     """
     from scipy.special import gammaln  # imported here: only ranking pays its import time
 
-    counts = n.counts
-    alpha = a.alpha
-    if counts.shape != alpha.shape:
-        raise ValueError(f"count shape {counts.shape} != prior shape {alpha.shape}")
-    observed = np.nonzero(counts)
+    row_alpha, cell_alpha = alpha.sum(axis=1), alpha.take(observed)
+    del alpha  # k_sweep passes a temporary prior; let it go before the |S|x|S| cells exist
     cells = np.zeros(counts.shape)
-    cells[observed] = gammaln(alpha[observed] + counts[observed]) - gammaln(alpha[observed])
-    row_alpha = alpha.sum(axis=1)
-    value = gammaln(row_alpha) - gammaln(row_alpha + counts.sum(axis=1)) + cells.sum(axis=1)
+    cells.put(observed, gammaln(cell_alpha + counts.take(observed)) - gammaln(cell_alpha))
+    value = gammaln(row_alpha) - gammaln(row_alpha + row_counts) + cells.sum(axis=1)
     return float(value.sum())
+
+
+def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
+    """Log marginal likelihood of the transition counts under a Dirichlet prior."""
+    if n.counts.shape != a.alpha.shape:
+        raise ValueError(f"count shape {n.counts.shape} != prior shape {a.alpha.shape}")
+    return _log_evidence(n.counts, np.flatnonzero(n.counts), n.counts.sum(axis=1), a.alpha)
 
 
 def rank_hypotheses(n: TransitionCounts, catalog: Sequence[HypothesisMatrix],
                     k: float) -> list[EvidenceResult]:
-    """Score the catalog at one concentration and rank by log evidence.
-
-    Ranks are 1..H, descending in evidence; exact ties order lexicographically
-    by hypothesis name so results are deterministic.
-    """
-    if not catalog:
-        raise ValueError("empty hypothesis catalog")
-    scored = [(h.name, log_evidence(n, elicit_prior(h, k))) for h in catalog]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [EvidenceResult(hypothesis=name, k=k, log_evidence=value, rank=i + 1)
-            for i, (name, value) in enumerate(scored)]
+    """Score the catalog at one concentration and rank by log evidence."""
+    return k_sweep(n, catalog, (k,))
 
 
 def k_sweep(n: TransitionCounts, catalog: Sequence[HypothesisMatrix],
             ks: Sequence[float] = DEFAULT_K_GRID) -> list[EvidenceResult]:
-    """Rankings across a grid of concentrations, concatenated in k order."""
+    """Rankings 1..H per k, descending in evidence, ties by name; concatenated in k order."""
     if not ks:
         raise ValueError("empty k grid")
-    results: list[EvidenceResult] = []
+    if not catalog:
+        raise ValueError("empty hypothesis catalog")
+    counts, size = n.counts, len(n.counts)
     for k in ks:
-        results.extend(rank_hypotheses(n, catalog, k))
-    return results
+        if not (k >= 0 and math.isfinite(k * size)):
+            raise ValueError(f"k must be finite and >= 0 with k * |S| finite, got k={k!r}")
+    for h in catalog:
+        if h.q.shape != counts.shape:
+            raise ValueError(f"{h.name}: belief shape {h.q.shape} != count shape {counts.shape}")
+    observed, totals = np.flatnonzero(counts), counts.sum(axis=1)
+    scored: list[list[tuple[str, float]]] = [[] for _ in ks]
+    for h in catalog:  # one normalized belief matrix at a time; alpha as in elicit_prior
+        beliefs = _row_normalized(h.q)
+        for k, at_k in zip(ks, scored):
+            at_k.append((h.name, _log_evidence(counts, observed, totals, 1.0 + k * size * beliefs)))
+    return [EvidenceResult(name, k, value, rank) for k, at_k in zip(ks, scored)
+            for rank, (name, value) in enumerate(sorted(at_k, key=lambda s: (-s[1], s[0])), 1)]
 
 
 def write_rankings(path, rows: Iterable[tuple[str, EvidenceResult]]) -> None:
@@ -120,6 +131,5 @@ def write_rankings(path, rows: Iterable[tuple[str, EvidenceResult]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster", "hypothesis", "k", "log_evidence", "rank"])
-        for cluster, res in ordered:
-            writer.writerow([cluster, res.hypothesis, repr(float(res.k)),
-                             repr(float(res.log_evidence)), res.rank])
+        writer.writerows([cluster, res.hypothesis, repr(float(res.k)),
+                          repr(float(res.log_evidence)), res.rank] for cluster, res in ordered)

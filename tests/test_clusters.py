@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tripflow.clusters import (
     ClusterSpec,
@@ -34,6 +36,16 @@ class TestTopIndices:
             top_indices([], 1)
         with pytest.raises(ValueError):
             top_indices([0.5], 0)
+
+    def test_signed_zeros_tie(self):
+        assert top_indices([-0.0, 0.0, -0.0, 0.0], 3) == [0, 1, 2]
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]) | st.floats(allow_nan=False),
+                    min_size=1, max_size=40),
+           st.integers(1, 50))
+    def test_matches_sorted_oracle(self, weights, n):
+        w = np.asarray(weights, dtype=float)
+        assert top_indices(weights, n) == sorted(range(w.size), key=lambda i: (-w[i], i))[:n]
 
 
 def spec(hours, dropoffs, n=10, component=0):
@@ -137,3 +149,11 @@ def test_membership_export(tmp_path):
     for r in rows:
         matrix = f.time if r["kind"] == "hour" else f.dropoff
         assert float(r["weight"]) == matrix[int(r["index"]), 0]
+
+
+@pytest.mark.parametrize("component", [-1, 2])
+def test_membership_component_out_of_range(tmp_path, component):
+    path = tmp_path / "membership.csv"
+    with pytest.raises(IndexError, match="out of range for r=2"):
+        write_membership(path, random_factors(2, 30), component, 6)
+    assert not path.exists()

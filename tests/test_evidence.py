@@ -1,12 +1,16 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripflow import evidence
 from tripflow.evidence import (
     DEFAULT_K_GRID,
     PriorMatrix,
@@ -242,6 +246,74 @@ class TestKSweep:
     def test_empty_grid(self, grid_space):
         with pytest.raises(ValueError):
             k_sweep(counts_of(np.zeros((2, 2))), [build_uniform(2)], ())
+
+    @pytest.mark.parametrize("k", [-1.0, -1e-300, math.nan, math.inf, -math.inf, 1e308])
+    @pytest.mark.parametrize("sweep", [
+        lambda n, catalog, k: k_sweep(n, catalog, (10.0, k)),
+        lambda n, catalog, k: rank_hypotheses(n, catalog, k)], ids=["k_sweep", "rank"])
+    def test_bad_k_rejected_before_scoring(self, monkeypatch, sweep, k):
+        # 1e308 is finite, but k * |S| overflows the prior
+        monkeypatch.setattr(evidence, "_log_evidence", unreachable)
+        with pytest.raises(ValueError, match=r"k must be finite and >= 0 .*got k="):
+            sweep(counts_of([[0, 1], [1, 0]]), [build_uniform(2)], k)
+
+    def test_belief_shape_mismatch_rejected_before_scoring(self, monkeypatch):
+        monkeypatch.setattr(evidence, "_log_evidence", unreachable)
+        catalog = [build_uniform(3), build_uniform(2, name="small")]
+        message = re.escape("small: belief shape (2, 2) != count shape (3, 3)")
+        with pytest.raises(ValueError, match=message):
+            k_sweep(counts_of(np.ones((3, 3))), catalog, (0.0, 10.0))
+        with pytest.raises(ValueError, match=message):
+            rank_hypotheses(counts_of(np.ones((3, 3))), catalog, 10.0)
+
+
+def unreachable(*args):
+    raise AssertionError("scored before the inputs were checked")
+
+
+@st.composite
+def sweep_cases(draw):
+    """A catalog, a k grid holding 0 and count sets (one all zero) over 2..30 states."""
+    size = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    catalog = []
+    for name in draw(st.permutations([f"h{i}" for i in range(draw(st.integers(1, 5)))])):
+        if catalog and draw(st.booleans()):  # the same beliefs again: an exact tie
+            catalog.append(HypothesisMatrix(name, catalog[-1].q.copy()))
+            continue
+        q = rng.random((size, size)) * (rng.random((size, size)) < draw(st.sampled_from([0.1, 1.0])))
+        q[rng.random(size) < 0.3] = 0.0  # all-zero rows
+        np.fill_diagonal(q, 0.0)
+        q[0, 1] = q[0, 1] or 1.0
+        catalog.append(HypothesisMatrix(name, q))
+    ks = (0.0,) + tuple(draw(st.lists(st.floats(1e-3, 1e6), max_size=3, unique=True)))
+    count_sets = [counts_of(np.zeros((size, size), dtype=np.int64))]
+    for _ in range(draw(st.integers(1, 3))):
+        density = draw(st.sampled_from([0.02, 0.3, 1.0]))
+        counts = rng.integers(0, 30, size=(size, size)) * (rng.random((size, size)) < density)
+        counts[rng.random(size) < 0.3] = 0  # all-zero rows
+        count_sets.append(counts_of(counts))
+    return catalog, ks, count_sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_per_prior_oracle(case):
+    catalog, ks, count_sets = case
+    for n in count_sets:
+        results = k_sweep(n, catalog, ks)
+        assert len(results) == len(ks) * len(catalog)
+        for j, k in enumerate(ks):
+            scored = []
+            for h in catalog:
+                prior = elicit_prior(h, k)
+                value = log_evidence(n, prior)
+                assert value == dense_log_evidence(n.counts, prior.alpha)
+                scored.append((h.name, value))
+            scored.sort(key=lambda item: (-item[1], item[0]))
+            block = results[j * len(catalog):(j + 1) * len(catalog)]
+            assert [(r.hypothesis, r.k, r.log_evidence, r.rank) for r in block] == \
+                [(name, k, value, rank) for rank, (name, value) in enumerate(scored, 1)]
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -4,7 +4,7 @@ from .geo import GeoPoint, StateSpace, Tract, haversine_distance, hour_of_week, 
 from .ingest import RAW_TRIP, TransitionCounts, Trip, clean_trips, transition_counts
 from .tensor import FactorSet, MobilityTensor, NtfOptions, build_tensor, ntf_decompose, \
     reconstruction_error
-from .clusters import ClusterSpec, cluster_counts, select_cluster_trips, top_indices
+from .clusters import cluster_counts, cluster_selection, top_indices
 from .hypotheses import CatalogConfig, FeatureVectors, HypothesisMatrix, WeightVector, \
     build_catalog
 from .evidence import EvidenceResult, PriorMatrix, elicit_prior, k_sweep, log_evidence, \

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .clusters import cluster_counts, write_membership
+from .clusters import cluster_counts, cluster_selection, write_membership
 from .config import ConfigError, PipelineConfig, load_config
 from .evidence import k_sweep, write_rankings
-from .geo import StateSpace, load_tracts
+from .geo import HOURS_PER_WEEK, StateSpace, load_tracts
 from .hypotheses import build_catalog
 from .ingest import REJECT_MALFORMED, TransitionCounts, clean_trips, load_clean_trips, \
     load_raw_trips, transition_counts, write_clean_trips
@@ -92,12 +92,19 @@ def run_extract_clusters(cfg: PipelineConfig) -> dict:
     trips = _load_cleaned_trips(out)
     _input_file(out / "factors_meta.json", "factor files")
     factors = load_factors(out)
-    for stale in out.glob("cluster_*"):  # drop leftovers from runs with a larger r
-        stale.unlink()
+    for stale in [*out.glob("cluster_*"), out / "overall_counts.csv"]:  # earlier runs', any r
+        stale.unlink(missing_ok=True)
+    rows = (len(factors.time), len(factors.pickup), len(factors.dropoff))
+    if rows != (HOURS_PER_WEEK, len(space), len(space)):
+        raise ValueError(f"factor rows (time, pickup, dropoff) {rows} do not fit the state "
+                         f"space {(HOURS_PER_WEEK, len(space), len(space))}; re-run factorize")
+    overall = transition_counts(trips, len(space))
+    np.savetxt(out / "overall_counts.csv", overall.counts, fmt="%d", delimiter=",")
     sizes = {}
     for c in range(factors.r):
-        write_membership(out / f"cluster_{c}_membership.csv", factors, c, cfg.n)
-        counts = cluster_counts(trips, factors, c, cfg.n, len(space))
+        hours, dropoffs = cluster_selection(factors, c, cfg.n)
+        write_membership(out / f"cluster_{c}_membership.csv", factors, c, hours, dropoffs)
+        counts = cluster_counts(trips, hours, dropoffs, len(space))
         np.savetxt(out / f"cluster_{c}_counts.csv", counts.counts, fmt="%d", delimiter=",")
         sizes[f"cluster_{c}"] = counts.total
     return {"clusters": sizes, "n": cfg.n}
@@ -122,15 +129,12 @@ def _load_counts_file(path: Path, size: int) -> TransitionCounts:
 
 def run_rank(cfg: PipelineConfig) -> dict:
     space, out = _open_stage(cfg)
-    trips = _load_cleaned_trips(out)
+    count_files = [out / "overall_counts.csv", *sorted(out.glob("cluster_*_counts.csv"))]
+    if not count_files[0].is_file() or len(count_files) < 2:
+        raise FileNotFoundError(f"count sets missing in {out}; run extract-clusters first")
     catalog = build_catalog(space, cfg.catalog)
-
-    cluster_files = sorted(out.glob("cluster_*_counts.csv"))
-    if not cluster_files:
-        raise FileNotFoundError(f"no cluster counts in {out}; run extract-clusters first")
-    count_sets = [("overall", transition_counts(trips, len(space)))] + [
-        (path.name.removesuffix("_counts.csv"), _load_counts_file(path, len(space)))
-        for path in cluster_files]
+    count_sets = [(path.name.removesuffix("_counts.csv"), _load_counts_file(path, len(space)))
+                  for path in count_files]
     write_rankings(out / "rankings.csv", [(label, result) for label, counts in count_sets
                                           for result in k_sweep(counts, catalog, cfg.k_grid)])
     return {"count_sets": [label for label, _ in count_sets],
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     descriptions = {
         "ingest": "clean raw trips and map endpoints to tracts",
         "factorize": "decompose the trip tensor into components",
-        "extract-clusters": "select top-N hours/dropoffs per component and count transitions",
+        "extract-clusters": "count transitions overall and per component's top-N hours/dropoffs",
         "build-hypotheses": "materialize the hypothesis catalog manifest",
         "rank": "rank hypotheses by log evidence per cluster and overall",
         "synth": "write the deterministic synthetic demo fixture",

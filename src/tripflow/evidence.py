@@ -56,14 +56,18 @@ def _row_normalized(q: np.ndarray) -> np.ndarray:
     return np.divide(q, row_sums, out=np.zeros_like(q), where=row_sums > 0)
 
 
+def _check_k(k: float, size: int) -> None:
+    if not (k >= 0 and math.isfinite(k * size)):
+        raise ValueError(f"k must be finite and >= 0 with k * |S| finite, got k={k!r}")
+
+
 def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     """Elicit Dirichlet pseudo-counts from a belief matrix at concentration k.
 
     Rows are L1-normalized first; all-zero belief rows elicit the flat row so
     the prior stays proper. k = 0 yields alpha identically 1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_k(k, q.q.shape[0])
     return PriorMatrix(alpha=1.0 + k * q.q.shape[0] * _row_normalized(q.q), k=k)
 
 
@@ -106,8 +110,7 @@ def k_sweep(n: TransitionCounts, catalog: Sequence[HypothesisMatrix],
         raise ValueError("empty hypothesis catalog")
     counts, size = n.counts, len(n.counts)
     for k in ks:
-        if not (k >= 0 and math.isfinite(k * size)):
-            raise ValueError(f"k must be finite and >= 0 with k * |S| finite, got k={k!r}")
+        _check_k(k, size)
     for h in catalog:
         if h.q.shape != counts.shape:
             raise ValueError(f"{h.name}: belief shape {h.q.shape} != count shape {counts.shape}")

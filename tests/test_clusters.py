@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tripflow.clusters import (
-    ClusterSpec,
-    cluster_counts,
-    cluster_spec,
-    select_cluster_trips,
-    top_indices,
-    write_membership,
-)
+from tripflow.clusters import cluster_counts, cluster_selection, top_indices, write_membership
 from tripflow.ingest import Trip, transition_counts
 from tripflow.synth import PlantedCluster, generate_trips
 from tripflow.tensor import NtfOptions, build_tensor, ntf_decompose
@@ -48,21 +41,18 @@ class TestTopIndices:
         assert top_indices(weights, n) == sorted(range(w.size), key=lambda i: (-w[i], i))[:n]
 
 
-def spec(hours, dropoffs, n=10, component=0):
-    return ClusterSpec(component=component, top_hours=frozenset(hours),
-                       top_dropoffs=frozenset(dropoffs), n=n)
-
-
 class TestSelect:
     def test_hour_and_dropoff_must_match(self):
         trip = Trip(9, 3, 7)
-        assert select_cluster_trips([trip], spec({9}, {7})).tolist() == [list(trip)]
-        assert select_cluster_trips([trip], spec({9}, {8})).tolist() == []
-        assert select_cluster_trips([trip], spec({10}, {7})).tolist() == []
+        kept = cluster_counts([trip], [9], [7], 20)
+        assert kept.counts[3, 7] == kept.total == 1
+        assert cluster_counts([trip], [9], [8], 20).total == 0
+        assert cluster_counts([trip], [10], [7], 20).total == 0
 
     def test_pickup_never_matters(self):
         trips = [Trip(9, p, 7) for p in range(20)]
-        assert select_cluster_trips(trips, spec({9}, {7})).tolist() == [list(t) for t in trips]
+        counts = cluster_counts(trips, [9], [7], 20)
+        np.testing.assert_array_equal(counts.counts, transition_counts(trips, 20).counts)
 
 
 def random_factors(r, seed):
@@ -80,12 +70,12 @@ class TestClusterCounts:
                       int(rng.integers(0, 20))) for _ in range(300)]
         f = random_factors(2, 8)
         full = transition_counts(trips, 20)
-        unfiltered = cluster_counts(trips, f, 0, max(168, 20), 20)
+        unfiltered = cluster_counts(trips, *cluster_selection(f, 0, max(168, 20)), 20)
         np.testing.assert_array_equal(unfiltered.counts, full.counts)
 
     def test_empty_trips(self):
         f = random_factors(1, 3)
-        assert cluster_counts([], f, 0, 10, 20).total == 0
+        assert cluster_counts([], *cluster_selection(f, 0, 10), 20).total == 0
 
     def test_planted_concentration(self, grid_space):
         hotspots = (0, 1, 5, 6)
@@ -98,7 +88,7 @@ class TestClusterCounts:
             trip_count=8000)
         trips = generate_trips([planted], grid_space, seed=6)
         f, _ = ntf_decompose(build_tensor(trips, 20), 1, NtfOptions(seed=42))
-        counts = cluster_counts(trips, f, 0, 10, 20)
+        counts = cluster_counts(trips, *cluster_selection(f, 0, 10), 20)
         hotspot_mass = counts.counts[:, list(hotspots)].sum() / counts.counts.sum()
         assert hotspot_mass >= 0.90
 
@@ -109,7 +99,7 @@ class TestClusterCounts:
         f = random_factors(2, 21)
         previous = 0
         for n in (1, 3, 5, 10, 20, 168):
-            total = cluster_counts(trips, f, 1, n, 20).total
+            total = cluster_counts(trips, *cluster_selection(f, 1, n), 20).total
             assert total >= previous
             previous = total
 
@@ -119,27 +109,27 @@ class TestClusterCounts:
                       int(rng.integers(0, 20))) for _ in range(500)]
         f = random_factors(2, 13)
         full = transition_counts(trips, 20)
-        sub = cluster_counts(trips, f, 0, 5, 20)
+        sub = cluster_counts(trips, *cluster_selection(f, 0, 5), 20)
         assert (sub.counts <= full.counts).all()
 
     def test_component_out_of_range(self):
         f = random_factors(1, 4)
         with pytest.raises(IndexError):
-            cluster_counts([], f, 1, 10, 20)
+            cluster_selection(f, 1, 10)
 
 
 def test_spec_sets_are_top_n():
     f = random_factors(2, 17)
-    s = cluster_spec(f, 1, 7)
-    assert s.top_hours == frozenset(top_indices(f.time[:, 1], 7))
-    assert s.top_dropoffs == frozenset(top_indices(f.dropoff[:, 1], 7))
-    assert len(s.top_hours) == len(s.top_dropoffs) == 7
+    hours, dropoffs = cluster_selection(f, 1, 7)
+    assert hours == top_indices(f.time[:, 1], 7)
+    assert dropoffs == top_indices(f.dropoff[:, 1], 7)
+    assert len(set(hours)) == len(set(dropoffs)) == 7
 
 
 def test_membership_export(tmp_path):
     f = random_factors(2, 30)
     path = tmp_path / "membership.csv"
-    write_membership(path, f, 0, 6)
+    write_membership(path, f, 0, *cluster_selection(f, 0, 6))
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     hours = [int(r["index"]) for r in rows if r["kind"] == "hour"]
@@ -154,6 +144,7 @@ def test_membership_export(tmp_path):
 @pytest.mark.parametrize("component", [-1, 2])
 def test_membership_component_out_of_range(tmp_path, component):
     path = tmp_path / "membership.csv"
+    f = random_factors(2, 30)
     with pytest.raises(IndexError, match="out of range for r=2"):
-        write_membership(path, random_factors(2, 30), component, 6)
+        write_membership(path, f, component, *cluster_selection(f, component, 6))
     assert not path.exists()

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -8,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tripflow.clusters
 from tripflow.cli import main, run_pipeline
 from tripflow.config import ConfigError, PipelineConfig, load_config
 from tripflow.geo import GeoPoint, write_tracts
 from tripflow.hypotheses import CatalogConfig, build_uniform
+from tripflow.ingest import load_clean_trips, transition_counts
 from tripflow.synth import demo_landmarks, generate_from_hypothesis, write_trips_file
+from tripflow.tensor import FactorSet, save_factors
 
 from tripflow.geo import HOURS_PER_WEEK
 
@@ -183,7 +187,7 @@ class TestCli:
         assert code == 0
         out = mini_fixture / "out"
         for name in ("trips_clean.csv", "ingest_summary.json", "factors_meta.json",
-                     "cluster_0_membership.csv", "cluster_1_counts.csv",
+                     "overall_counts.csv", "cluster_0_membership.csv", "cluster_1_counts.csv",
                      "catalog_manifest.csv", "rankings.csv"):
             assert (out / name).is_file(), name
         assert "rank: ok" in capsys.readouterr().out
@@ -286,6 +290,67 @@ class TestCli:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert "'ingest'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def mini_copy(mini_fixture, tmp_path):
+    """Config of a private copy of the mini fixture with every pipeline artifact in place."""
+    root = shutil.copytree(mini_fixture, tmp_path / "mini")
+    cfg = root / "mini.cfg"
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace(str(mini_fixture), str(root)),
+                   encoding="utf-8")
+    if not (root / "out" / "rankings.csv").is_file():
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+    return cfg
+
+
+class TestCountSets:
+    """extract-clusters writes every count set; rank reads the tracts and count sets only."""
+
+    def test_overall_counts_are_all_cleaned_trips(self, mini_copy):
+        out = mini_copy.parent / "out"
+        assert main(["extract-clusters", "--config", str(mini_copy)]) == 0
+        expected = transition_counts(load_clean_trips(out / "trips_clean.csv"), 20).counts
+        overall = np.loadtxt(out / "overall_counts.csv", dtype=np.int64, delimiter=",")
+        np.testing.assert_array_equal(overall, expected)
+
+    def test_rank_reads_no_trips(self, mini_copy):
+        out = mini_copy.parent / "out"
+        assert main(["rank", "--config", str(mini_copy)]) == 0
+        with_trips = (out / "rankings.csv").read_bytes()
+        (out / "trips_clean.csv").unlink()
+        assert main(["rank", "--config", str(mini_copy)]) == 0
+        assert (out / "rankings.csv").read_bytes() == with_trips
+
+    def test_rank_without_overall_counts_fails(self, mini_copy, capsys):
+        (mini_copy.parent / "out" / "overall_counts.csv").unlink()
+        assert main(["rank", "--config", str(mini_copy)]) == 1
+        assert "extract-clusters" in capsys.readouterr().err
+
+    def test_each_factor_column_ranked_once(self, mini_copy, monkeypatch):
+        calls = []
+
+        def counting(column, n):
+            calls.append(n)
+            return original(column, n)
+
+        original = tripflow.clusters.top_indices
+        monkeypatch.setattr(tripflow.clusters, "top_indices", counting)
+        assert main(["extract-clusters", "--config", str(mini_copy)]) == 0
+        assert len(calls) == 2 * 2  # time and dropoff column of each of r = 2 components
+
+    def test_factors_of_another_state_space_rejected(self, mini_copy, capsys):
+        out = mini_copy.parent / "out"
+        rng = np.random.default_rng(3)
+        time, pickup, dropoff = (m / m.sum(axis=0) for m in
+                                 (rng.random((dim, 2)) for dim in (HOURS_PER_WEEK, 5, 5)))
+        save_factors(out, FactorSet(r=2, time=time, pickup=pickup, dropoff=dropoff,
+                                    scale=np.ones(2)), seed=1)
+        assert main(["extract-clusters", "--config", str(mini_copy)]) == 1
+        err = capsys.readouterr().err
+        assert "(168, 5, 5)" in err and "(168, 20, 20)" in err
+        assert list(out.glob("cluster_*")) == [] and not (out / "overall_counts.csv").exists()
+        assert main(["rank", "--config", str(mini_copy)]) == 1
 
 
 class TestBenchTracer:

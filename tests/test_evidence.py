@@ -250,7 +250,8 @@ class TestKSweep:
     @pytest.mark.parametrize("k", [-1.0, -1e-300, math.nan, math.inf, -math.inf, 1e308])
     @pytest.mark.parametrize("sweep", [
         lambda n, catalog, k: k_sweep(n, catalog, (10.0, k)),
-        lambda n, catalog, k: rank_hypotheses(n, catalog, k)], ids=["k_sweep", "rank"])
+        lambda n, catalog, k: rank_hypotheses(n, catalog, k),
+        lambda n, catalog, k: elicit_prior(catalog[0], k)], ids=["k_sweep", "rank", "elicit"])
     def test_bad_k_rejected_before_scoring(self, monkeypatch, sweep, k):
         # 1e308 is finite, but k * |S| overflows the prior
         monkeypatch.setattr(evidence, "_log_evidence", unreachable)

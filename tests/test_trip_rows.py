@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripflow.clusters import cluster_counts, cluster_spec
+from tripflow.clusters import cluster_counts, cluster_selection
 from tripflow.geo import HOURS_PER_WEEK
 from tripflow.ingest import Trip, transition_counts
 from tripflow.tensor import FactorSet, MobilityTensor, build_tensor
@@ -63,10 +63,10 @@ def test_build_tensor_matches_counter(case):
 def test_cluster_counts_match_counter(case, component, n, seed):
     size, trips = case
     f = random_factor_set(size, seed)
-    spec = cluster_spec(f, component, n)
+    hours, dropoffs = cluster_selection(f, component, n)
     pairs = Counter((t.pickup_tract, t.dropoff_tract) for t in trips
-                    if t.hour in spec.top_hours and t.dropoff_tract in spec.top_dropoffs)
-    counts = cluster_counts(trips, f, component, n, size)
+                    if t.hour in hours and t.dropoff_tract in dropoffs)
+    counts = cluster_counts(trips, hours, dropoffs, size)
     np.testing.assert_array_equal(counts.counts, pair_matrix(pairs, size))
     assert counts.total == sum(pairs.values())
 

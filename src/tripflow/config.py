@@ -171,6 +171,8 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
         raise ConfigError("k values must be finite and >= 0")
     if any(not 0 < s < math.inf for s in config.sigma_grid):
         raise ConfigError("sigma values must be finite and > 0")
+    if not 0 <= config.catalog.io_eps < math.inf:
+        raise ConfigError(f"io_eps must be finite and >= 0, got {config.catalog.io_eps!r}")
     for key, grid in (("k_grid", config.k_grid), ("sigma_grid", config.sigma_grid)):
         repeated = sorted({v for i, v in enumerate(grid) if v in grid[:i]})
         if repeated:

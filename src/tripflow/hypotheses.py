@@ -149,6 +149,22 @@ def build_mass(space: StateSpace, w: WeightVector, variant: str,
     return _finish(name or f"{variant}_{w.name}", q)
 
 
+def _opportunities(space: StateSpace, w: WeightVector, eps: float,
+                   unweighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Weight of tracts u != i with d(i, u) < d(i, j) - eps (closer[i, j]) and with d(i, u)
+    in [d(i, j) - eps, d(i, j) + eps] (tied[i, j]); one sorted prefix sum per origin i."""
+    weights = np.ones(len(space)) if unweighted else _check_weights(space, w)
+    closer, tied = np.empty((2, len(space), len(space)))
+    for i, row_d in enumerate(space.distances):
+        order = np.argsort(row_d, kind="stable")
+        sorted_d = row_d[order]
+        cum = np.concatenate(([0.0], np.cumsum(np.where(order == i, 0.0, weights[order]))))
+        lo = np.searchsorted(sorted_d, row_d - eps, side="left")
+        hi = np.searchsorted(sorted_d, row_d + eps, side="right")
+        closer[i], tied[i] = cum[lo], cum[hi] - cum[lo]
+    return closer, tied
+
+
 def build_rank_distance(space: StateSpace, w: WeightVector,
                         name: Optional[str] = None,
                         unweighted: bool = False) -> HypothesisMatrix:
@@ -158,20 +174,11 @@ def build_rank_distance(space: StateSpace, w: WeightVector,
     is; empty sums clamp to 1 so the nearest target keeps belief 1. With
     ``unweighted`` every tract counts 1 instead of its weight.
     """
-    weights = np.ones(len(space)) if unweighted else _check_weights(space, w)
-    n = len(space)
-    q = np.zeros((n, n))
-    for i in range(n):
-        row_d = space.distances[i]
-        closer = row_d[None, :] < row_d[:, None]  # [j, u]: u strictly closer than j
-        closer[:, i] = False
-        rank = closer @ weights
-        q[i] = 1.0 / np.maximum(rank, 1.0)
-    return _finish(name or f"rank_distance_{w.name}", q)
+    closer, _ = _opportunities(space, w, 0.0, unweighted)
+    return _finish(name or f"rank_distance_{w.name}", 1.0 / np.maximum(closer, 1.0))
 
 
-def build_intervening_opportunities(space: StateSpace, w: WeightVector,
-                                    eps: float = 1e-9,
+def build_intervening_opportunities(space: StateSpace, w: WeightVector, eps: float,
                                     name: Optional[str] = None,
                                     unweighted: bool = False) -> HypothesisMatrix:
     """Opportunities at the target's distance over opportunities in between.
@@ -179,24 +186,13 @@ def build_intervening_opportunities(space: StateSpace, w: WeightVector,
     The numerator sums weights of tracts u != i whose distance from i matches
     dist(i, j) within ``eps`` km; the denominator sums weights strictly closer
     than dist(i, j) - eps, clamped to 1. Continuous distances almost never tie
-    exactly, hence the tolerance.
+    exactly, hence the tolerance, which must be finite and >= 0.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    weights = np.ones(len(space)) if unweighted else _check_weights(space, w)
-    n = len(space)
-    q = np.zeros((n, n))
-    for i in range(n):
-        row_d = space.distances[i]
-        gap = row_d[None, :] - row_d[:, None]  # [j, u]: dist(i,u) - dist(i,j)
-        at_distance = np.abs(gap) <= eps
-        closer = gap < -eps
-        at_distance[:, i] = False
-        closer[:, i] = False
-        numerator = at_distance @ weights
-        denominator = closer @ weights
-        q[i] = numerator / np.maximum(denominator, 1.0)
-    return _finish(name or f"intervening_opportunities_{w.name}", q)
+    if not 0 <= eps < math.inf:  # written so that NaN fails too
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    closer, tied = _opportunities(space, w, eps, unweighted)
+    return _finish(name or f"intervening_opportunities_{w.name}",
+                   tied / np.maximum(closer, 1.0))
 
 
 def build_cosine_similarity(features: FeatureVectors,

@@ -246,10 +246,9 @@ def write_demo_fixture(directory, seed: int = 42) -> dict:
         fh.write("\n")
     landmarks = demo_landmarks(space)
     with open(directory / "demo.cfg", "w", encoding="utf-8") as fh:
-        fh.write("[paths]\n")
-        fh.write(f"tracts = {directory / 'tracts.csv'}\n")
-        fh.write(f"trips = {directory / 'trips.csv'}\n")
-        fh.write(f"output_dir = {directory / 'out'}\n")
+        fh.write("[paths]\n")  # '%' doubled: the loader's interpolation escape
+        for key, name in (("tracts", "tracts.csv"), ("trips", "trips.csv"), ("output_dir", "out")):
+            fh.write(f"{key} = {str(directory / name).replace('%', '%%')}\n")
         fh.write("\n[pipeline]\n")
         fh.write(f"seed = {seed}\n")
         fh.write("r = 2\n")  # planted pattern + background

@@ -127,3 +127,40 @@ def scalar_locate(p: GeoPoint, space: StateSpace) -> Optional[int]:
         if d < best_d:
             best, best_d = t.index, d
     return best
+
+
+# --- O(S^3) mask loops: the per-origin bodies that the sorted opportunity kernel replaced,
+# kept as its oracle. Each returns the belief matrix with its diagonal zeroed.
+
+
+def loop_rank_distance(space: StateSpace, w, unweighted: bool = False) -> np.ndarray:
+    weights = np.ones(len(space)) if unweighted else np.asarray(w.w, dtype=float)
+    n = len(space)
+    q = np.zeros((n, n))
+    for i in range(n):
+        row_d = space.distances[i]
+        closer = row_d[None, :] < row_d[:, None]  # [j, u]: u strictly closer than j
+        closer[:, i] = False
+        rank = closer @ weights
+        q[i] = 1.0 / np.maximum(rank, 1.0)
+    np.fill_diagonal(q, 0.0)
+    return q
+
+
+def loop_intervening_opportunities(space: StateSpace, w, eps: float,
+                                   unweighted: bool = False) -> np.ndarray:
+    weights = np.ones(len(space)) if unweighted else np.asarray(w.w, dtype=float)
+    n = len(space)
+    q = np.zeros((n, n))
+    for i in range(n):
+        row_d = space.distances[i]
+        gap = row_d[None, :] - row_d[:, None]  # [j, u]: dist(i,u) - dist(i,j)
+        at_distance = np.abs(gap) <= eps
+        closer = gap < -eps
+        at_distance[:, i] = False
+        closer[:, i] = False
+        numerator = at_distance @ weights
+        denominator = closer @ weights
+        q[i] = numerator / np.maximum(denominator, 1.0)
+    np.fill_diagonal(q, 0.0)
+    return q

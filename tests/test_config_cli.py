@@ -13,7 +13,8 @@ import tripflow.clusters
 from tripflow.cli import main, run_pipeline
 from tripflow.config import ConfigError, PipelineConfig, load_config
 from tripflow.geo import GeoPoint, write_tracts
-from tripflow.hypotheses import CatalogConfig, build_uniform
+from tripflow.hypotheses import (CatalogConfig, WeightVector, build_intervening_opportunities,
+                                 build_uniform)
 from tripflow.ingest import load_clean_trips, transition_counts
 from tripflow.synth import demo_landmarks, generate_from_hypothesis, write_trips_file
 from tripflow.tensor import FactorSet, save_factors
@@ -279,6 +280,30 @@ class TestCli:
         assert main(["pipeline", "--config", str(cfg), *args]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_io_eps_fails_before_any_stage(self, mini_fixture, grid_space, tmp_path,
+                                               capsys, value):
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(f"[paths]\ntracts = {mini_fixture / 'tracts.csv'}\n"
+                       f"trips = {mini_fixture / 'trips.csv'}\noutput_dir = {tmp_path / 'out'}\n"
+                       f"[catalog]\nio_eps = {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="io_eps"):
+            load_config(cfg)
+        assert main(["pipeline", "--config", str(cfg)]) == 2
+        assert "io_eps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        w = WeightVector("w", np.ones(len(grid_space)))
+        with pytest.raises(ValueError, match="eps"):
+            build_intervening_opportunities(grid_space, w, float(value))
+
+    def test_synth_config_loads_from_a_percent_path(self, tmp_path):
+        root = tmp_path / "a%b"
+        assert main(["synth", "--output-dir", str(root)]) == 0
+        cfg = load_config(root / "demo.cfg")
+        assert (cfg.tracts, cfg.trips, cfg.output_dir) == \
+            (root / "tracts.csv", root / "trips.csv", root / "out")
+        assert main(["ingest", "--config", str(root / "demo.cfg")]) == 0
 
     def test_pipeline_stage_error_names_stage(self, tmp_path, grid_space, capsys):
         # trips file is unreadable garbage: ingest is the failing stage

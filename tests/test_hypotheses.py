@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripflow.geo import GeoPoint, haversine_distance
 from tripflow.hypotheses import (
@@ -24,7 +26,7 @@ from tripflow.hypotheses import (
 
 from tripflow.synth import DEMO_GRID, demo_recipe, generate_state_space
 
-from conftest import make_space
+from conftest import loop_intervening_opportunities, loop_rank_distance, make_space
 
 
 def plain_kernel(dist: np.ndarray, sigma: float) -> np.ndarray:
@@ -203,6 +205,49 @@ class TestInterveningOpportunities:
         w = WeightVector("w", np.ones(len(grid_space)))
         with pytest.raises(ValueError):
             build_intervening_opportunities(grid_space, w, eps=-1.0)
+
+
+@st.composite
+def integer_spaces(draw):
+    """Small symmetric spaces with integer distances (so exact ties occur) and integer weights."""
+    size = draw(st.integers(2, 7))
+    upper = draw(st.lists(st.integers(1, 4), min_size=size * (size - 1) // 2,
+                          max_size=size * (size - 1) // 2))
+    dist = np.zeros((size, size))
+    dist[np.triu_indices(size, 1)] = upper
+    weights = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+    return make_space(dist + dist.T), WeightVector("w", np.array(weights, dtype=float))
+
+
+class TestOpportunityKernel:
+    """Both sorted-kernel families against the O(S^3) mask loops kept in conftest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_spaces(), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.booleans())
+    def test_exact_on_integer_distances(self, drawn, eps, unweighted):
+        space, w = drawn
+        assert (build_rank_distance(space, w, unweighted=unweighted).q
+                == loop_rank_distance(space, w, unweighted)).all()
+        expected = loop_intervening_opportunities(space, w, eps, unweighted)
+        if not expected.any():
+            with pytest.raises(ValueError, match="all zero"):
+                build_intervening_opportunities(space, w, eps, unweighted=unweighted)
+        else:
+            assert (build_intervening_opportunities(space, w, eps, unweighted=unweighted).q
+                    == expected).all()
+
+    @pytest.mark.parametrize("unweighted", [False, True])
+    def test_city_within_bound(self, city_space, unweighted):
+        # cum[hi] - cum[lo] cancels: measured up to 3.4e-13 relative on this space
+        w = WeightVector("venues_all", city_space.property_vector("venues_all"))
+        pairs = [(build_rank_distance(city_space, w, unweighted=unweighted).q,
+                  loop_rank_distance(city_space, w, unweighted)),
+                 (build_intervening_opportunities(city_space, w, 1e-9, unweighted=unweighted).q,
+                  loop_intervening_opportunities(city_space, w, 1e-9, unweighted))]
+        for got, expected in pairs:
+            assert ((got != 0) == (expected != 0)).all()
+            nonzero = expected != 0
+            assert (np.abs(got - expected)[nonzero] / expected[nonzero]).max() <= 1e-11
 
 
 class TestCosine:

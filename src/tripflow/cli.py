@@ -10,6 +10,7 @@ synthetic fixture for end-to-end runs without real data.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -114,9 +115,9 @@ def run_build_hypotheses(cfg: PipelineConfig) -> dict:
     space, out = _open_stage(cfg)
     catalog = build_catalog(space, cfg.catalog)
     with open(out / "catalog_manifest.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("hypothesis,states,nonzeros\n")
-        for h in catalog:
-            fh.write(f"{h.name},{h.q.shape[0]},{int(np.count_nonzero(h.q))}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["hypothesis", "states", "nonzeros"])
+        writer.writerows([h.name, h.q.shape[0], np.count_nonzero(h.q)] for h in catalog)
     return {"hypotheses": len(catalog)}
 
 

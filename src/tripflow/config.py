@@ -161,20 +161,26 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
     moved = {key: values.pop(key) for key in list(values) if key in _SECTIONS["catalog"]}
     values["catalog"] = replace(values.get("catalog") or CatalogConfig(**catalog), **moved)
     config = PipelineConfig(**values)
-    if config.r < 1:
-        raise ConfigError("r must be >= 1")
-    if config.n < 1:
-        raise ConfigError("n must be >= 1")
+    for key, ok, rule in (("r", config.r >= 1, ">= 1"), ("n", config.n >= 1, ">= 1"),
+                          ("seed", config.seed >= 0, ">= 0"),
+                          ("max_iters", config.max_iters >= 1, ">= 1"),
+                          ("rel_tol", 0 <= config.rel_tol < math.inf, "finite and >= 0"),
+                          ("epsilon", 0 < config.epsilon < math.inf, "finite and > 0"),
+                          ("io_eps", 0 <= config.catalog.io_eps < math.inf, "finite and >= 0")):
+        if not ok:  # each rule is written so that NaN fails it
+            value = getattr(config.catalog if key == "io_eps" else config, key)
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
     if not config.k_grid:
         raise ConfigError("k_grid must list at least one value")
-    if any(not 0 <= k < math.inf for k in config.k_grid):  # written so that NaN fails too
+    if any(not 0 <= k < math.inf for k in config.k_grid):
         raise ConfigError("k values must be finite and >= 0")
     if any(not 0 < s < math.inf for s in config.sigma_grid):
         raise ConfigError("sigma values must be finite and > 0")
-    if not 0 <= config.catalog.io_eps < math.inf:
-        raise ConfigError(f"io_eps must be finite and >= 0, got {config.catalog.io_eps!r}")
-    for key, grid in (("k_grid", config.k_grid), ("sigma_grid", config.sigma_grid)):
-        repeated = sorted({v for i, v in enumerate(grid) if v in grid[:i]})
+    # a sigma's {:g} label and a landmark's name are parts of hypothesis names, which must differ
+    for key, what, items in (("k_grid", "value", config.k_grid),
+                             ("sigma_grid", "label", [f"{s:g}" for s in config.sigma_grid]),
+                             ("landmarks", "name", [name for name, _ in config.catalog.landmarks])):
+        repeated = sorted({str(v) for i, v in enumerate(items) if v in items[:i]})
         if repeated:
-            raise ConfigError(f"{key} repeats the value(s) {' '.join(f'{v:g}' for v in repeated)}")
+            raise ConfigError(f"{key} repeats the {what}(s) {' '.join(repeated)}")
     return config

@@ -3,10 +3,10 @@
 Every hypothesis matrix is turned into a Dirichlet prior over each origin
 row, and hypotheses are compared by the marginal likelihood of the observed
 transition counts under that prior (first-order Markov, integrating out the
-transition probabilities). One scorer, `_log_evidence`, evaluates it for
-`log_evidence` (any prior) and `k_sweep` (the catalog at each k). Larger log
-evidence means the hypothesis explains the trails better; ranking the catalog
-at a fixed concentration k yields the plausibility ordering.
+transition probabilities). Its log is two sums: lnG(A) - lnG(A + N) over the
+origin rows (A a prior row's sum, N the row's trip count) and lnG(a + n) - lnG(a)
+over the observed cells. One scorer, `_log_evidence`, takes those four vectors
+for `log_evidence` (any prior) and `k_sweep` (the catalog at each k).
 
 Elicitation rule: each belief row is L1-normalized to q' and the prior row is
 alpha = 1 + k * |S| * q'. The +1 floor keeps every prior proper, k = 0
@@ -71,28 +71,21 @@ def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     return PriorMatrix(alpha=1.0 + k * q.q.shape[0] * _row_normalized(q.q), k=k)
 
 
-def _log_evidence(counts: np.ndarray, observed: np.ndarray, row_counts: np.ndarray,
-                  alpha: np.ndarray) -> float:
-    """Sum over rows of lnG(sum a) - lnG(sum a + sum n) + sum_j [lnG(a+n) - lnG(a)].
-
-    A cell with n = 0 adds exactly +0.0, so the cell term is evaluated only at
-    the observed (flat, C-order) cells, then put into zeros and summed over whole rows.
-    """
+def _log_evidence(row_alpha: np.ndarray, row_counts: np.ndarray,
+                  cell_alpha: np.ndarray, cell_counts: np.ndarray) -> float:
+    """Sum over rows of lnG(A) - lnG(A + N), plus sum over observed cells of lnG(a+n) - lnG(a)."""
     from scipy.special import gammaln  # imported here: only ranking pays its import time
 
-    row_alpha, cell_alpha = alpha.sum(axis=1), alpha.take(observed)
-    del alpha  # k_sweep passes a temporary prior; let it go before the |S|x|S| cells exist
-    cells = np.zeros(counts.shape)
-    cells.put(observed, gammaln(cell_alpha + counts.take(observed)) - gammaln(cell_alpha))
-    value = gammaln(row_alpha) - gammaln(row_alpha + row_counts) + cells.sum(axis=1)
-    return float(value.sum())
+    return float((gammaln(row_alpha) - gammaln(row_alpha + row_counts)).sum()
+                 + (gammaln(cell_alpha + cell_counts) - gammaln(cell_alpha)).sum())
 
 
 def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
     """Log marginal likelihood of the transition counts under a Dirichlet prior."""
     if n.counts.shape != a.alpha.shape:
         raise ValueError(f"count shape {n.counts.shape} != prior shape {a.alpha.shape}")
-    return _log_evidence(n.counts, np.flatnonzero(n.counts), n.counts.sum(axis=1), a.alpha)
+    seen = n.counts != 0  # a cell with n = 0 adds lnG(a) - lnG(a) = 0
+    return _log_evidence(a.alpha.sum(axis=1), n.counts.sum(axis=1), a.alpha[seen], n.counts[seen])
 
 
 def rank_hypotheses(n: TransitionCounts, catalog: Sequence[HypothesisMatrix],
@@ -114,12 +107,15 @@ def k_sweep(n: TransitionCounts, catalog: Sequence[HypothesisMatrix],
     for h in catalog:
         if h.q.shape != counts.shape:
             raise ValueError(f"{h.name}: belief shape {h.q.shape} != count shape {counts.shape}")
-    observed, totals = np.flatnonzero(counts), counts.sum(axis=1)
+    observed = np.flatnonzero(counts)
+    totals, cell_counts = counts.sum(axis=1), counts.take(observed)
     scored: list[list[tuple[str, float]]] = [[] for _ in ks]
-    for h in catalog:  # one normalized belief matrix at a time; alpha as in elicit_prior
+    for h in catalog:  # alpha as in elicit_prior: its row sums, and its cells where n > 0
         beliefs = _row_normalized(h.q)
+        cells = beliefs.take(observed)
         for k, at_k in zip(ks, scored):
-            at_k.append((h.name, _log_evidence(counts, observed, totals, 1.0 + k * size * beliefs)))
+            at_k.append((h.name, _log_evidence((1.0 + k * size * beliefs).sum(axis=1), totals,
+                                               1.0 + k * size * cells, cell_counts)))
     return [EvidenceResult(name, k, value, rank) for k, at_k in zip(ks, scored)
             for rank, (name, value) in enumerate(sorted(at_k, key=lambda s: (-s[1], s[0])), 1)]
 

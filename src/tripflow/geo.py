@@ -61,27 +61,23 @@ class Tract:
                 raise ValueError(f"tract {self.id!r}: property {key!r} must be finite and >= 0")
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km on a sphere of radius 6371.0088 km."""
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
-    dphi = phi2 - phi1
-    dlam = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
-
-
 def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """``haversine_distance`` elementwise over broadcast coordinate arrays, bit for bit."""
+    """Great-circle km on a sphere of radius 6371.0088 km, elementwise over broadcast arrays."""
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
     dlam = np.radians(np.subtract(lon2, lon1))
-    # float_power and math.asin call the C library's pow and asin, as the scalar
-    # form does; numpy's ``** 2`` and arcsine round differently in the last bit.
+    # float_power and math.asin call the C library's pow and asin, so each distance has the
+    # bits of the scalar ``math`` formula; numpy's ``** 2`` and arcsine round differently.
     h = (np.float_power(np.sin(dphi / 2.0), 2)
          + np.cos(phi1) * np.cos(phi2) * np.float_power(np.sin(dlam / 2.0), 2))
     s = np.minimum(1.0, np.sqrt(h))
     arc = np.fromiter(map(math.asin, s.ravel().tolist()), dtype=float, count=s.size)
     return 2.0 * EARTH_RADIUS_KM * arc.reshape(s.shape)
+
+
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
+    """``haversine_km`` between two points."""
+    return float(haversine_km(a.lat, a.lon, b.lat, b.lon))
 
 
 def hour_of_week(t: datetime) -> int:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, StateSpace, haversine_distance
+from .geo import GeoPoint, StateSpace, haversine_km
 
 
 class CatalogConfigError(ValueError):
@@ -110,12 +110,13 @@ def build_gaussian(space: StateSpace, sigma: float,
     entries all underflow (no target within about 38.6 sigma) is evaluated
     relative to its largest off-diagonal exponent; rows are normalized downstream.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    if not 0 < sigma < math.inf:  # written so that NaN fails too
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     if center is None:
         dist, default_name = space.distances, f"proximity_sigma_{sigma:g}"
     else:
-        row = np.array([haversine_distance(center, t.centroid) for t in space.tracts])
+        lat, lon = np.array([(t.centroid.lat, t.centroid.lon) for t in space.tracts]).T
+        row = haversine_km(center.lat, center.lon, lat, lon)
         dist, default_name = np.tile(row, (len(space), 1)), f"centroid_sigma_{sigma:g}"
     exponent = -dist ** 2 / (2.0 * sigma ** 2)
     np.fill_diagonal(exponent, -np.inf)

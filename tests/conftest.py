@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from tripflow.geo import GeoPoint, StateSpace, Tract, haversine_distance
+from tripflow.geo import EARTH_RADIUS_KM, GeoPoint, StateSpace, Tract
 from tripflow.hypotheses import CatalogConfig
 from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
 from tripflow.tensor import FactorSet, MobilityTensor
@@ -86,6 +86,17 @@ def best_match_min_cosine(f: FactorSet, generators) -> float:
     return best
 
 
+# --- scalar haversine: the ``math`` formula that ``geo.haversine_km`` replaced, kept as its oracle
+
+
+def scalar_haversine(a: GeoPoint, b: GeoPoint) -> float:
+    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
+    dphi = phi2 - phi1
+    dlam = math.radians(b.lon - a.lon)
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
 # --- scalar point location: the per-point loop that ``geo.locate`` replaced, kept as its oracle
 
 
@@ -123,7 +134,7 @@ def scalar_locate(p: GeoPoint, space: StateSpace) -> Optional[int]:
         return None
     best, best_d = 0, math.inf
     for t in space.tracts:
-        d = haversine_distance(p, t.centroid)
+        d = scalar_haversine(p, t.centroid)
         if d < best_d:
             best, best_d = t.index, d
     return best

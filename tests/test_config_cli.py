@@ -3,18 +3,18 @@ import json
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tripflow.clusters
-from tripflow.cli import main, run_pipeline
+from tripflow.cli import main, run_build_hypotheses, run_pipeline
 from tripflow.config import ConfigError, PipelineConfig, load_config
-from tripflow.geo import GeoPoint, write_tracts
-from tripflow.hypotheses import (CatalogConfig, WeightVector, build_intervening_opportunities,
-                                 build_uniform)
+from tripflow.geo import GeoPoint, load_tracts, write_tracts
+from tripflow.hypotheses import (CatalogConfig, WeightVector, build_catalog,
+                                 build_intervening_opportunities, build_uniform)
 from tripflow.ingest import load_clean_trips, transition_counts
 from tripflow.synth import demo_landmarks, generate_from_hypothesis, write_trips_file
 from tripflow.tensor import FactorSet, save_factors
@@ -100,6 +100,7 @@ class TestConfigFile:
         ("[catalog]\nsigma_grid = nan\n", "sigma values"),
         ("[pipeline]\nk_grid = 1 inf\n", "k values"),
         ("[catalog]\nsigma_grid = inf\n", "sigma values"),
+        ("[pipeline]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label"),
     ])
     def test_bad_grid_rejected(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
@@ -198,6 +199,23 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 70
 
+    def test_catalog_manifest_round_trips_names(self, mini_copy, tmp_path):
+        default = (mini_copy.parent / "out" / "catalog_manifest.csv").read_text(encoding="utf-8")
+        space = load_tracts(mini_copy.parent / "tracts.csv")
+        cfg = load_config(mini_copy)
+        assert default == "hypothesis,states,nonzeros\n" + "".join(  # plain names: plain rows
+            f"{h.name},{len(space)},{np.count_nonzero(h.q)}\n"
+            for h in build_catalog(space, cfg.catalog))
+        cfg = replace(cfg, output_dir=tmp_path / "named", catalog=replace(
+            cfg.catalog, landmarks=(("a,b", GeoPoint(40.75, -73.99)), *cfg.catalog.landmarks)))
+        run_build_hypotheses(cfg)
+        with open(tmp_path / "named" / "catalog_manifest.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["hypothesis", "states", "nonzeros"]
+        assert [row[0] for row in rows[1:]] == [h.name for h in build_catalog(space, cfg.catalog)]
+        assert {len(row) for row in rows} == {3}
+        assert "centroid_a,b_sigma_1" in {row[0] for row in rows}
+
     def test_rank_k0_all_tied(self, mini_fixture):
         code = main(["rank", "--config", str(mini_fixture / "mini.cfg"), "--k", "0"])
         assert code == 0
@@ -270,6 +288,17 @@ class TestCli:
         ([], "[pipeline]\nk_grid =\n", "k_grid"),
         ([], "[catalog]\nsigma_grid = 1 1\n", "sigma_grid"),
         (["--k", "inf"], "", "k values"),
+        ([], "[pipeline]\nseed = -1\n", "seed must be >= 0"),
+        ([], "[pipeline]\nmax_iters = 0\n", "max_iters must be >= 1"),
+        ([], "[pipeline]\nrel_tol = nan\n", "rel_tol must be finite and >= 0"),
+        ([], "[pipeline]\nrel_tol = inf\n", "rel_tol must be finite and >= 0"),
+        ([], "[pipeline]\nrel_tol = -1\n", "rel_tol must be finite and >= 0"),
+        ([], "[pipeline]\nepsilon = nan\n", "epsilon must be finite and > 0"),
+        ([], "[pipeline]\nepsilon = -1\n", "epsilon must be finite and > 0"),
+        ([], "[pipeline]\nepsilon = 0\n", "epsilon must be finite and > 0"),
+        ([], "[catalog]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label(s) 1"),
+        ([], "[catalog]\nlandmarks = a 40.7 -74.0; b 40.8 -74.0; a 40.9 -74.0\n",
+         "landmarks repeats the name(s) a"),
     ])
     def test_bad_grid_fails_before_any_stage(self, mini_fixture, tmp_path, capsys,
                                              args, text, key):
@@ -280,6 +309,9 @@ class TestCli:
         assert main(["pipeline", "--config", str(cfg), *args]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_rel_tol_is_valid(self):
+        assert load_config(rel_tol=0.0).rel_tol == 0.0
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_io_eps_fails_before_any_stage(self, mini_fixture, grid_space, tmp_path,

@@ -47,6 +47,11 @@ def dense_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
     return float(value.sum())
 
 
+def assert_close(value: float, dense: float) -> None:
+    """Within 1e-12 relative of the dense formula: same terms, another summation order."""
+    assert abs(value - dense) <= 1e-12 * abs(dense), (value, dense)
+
+
 def polya_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
     """Sequential predictive oracle: one transition at a time, urn-style."""
     total = 0.0
@@ -134,7 +139,7 @@ class TestLogEvidence:
             lhs = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=1.0))
             assert lhs == pytest.approx(polya_log_evidence(counts, alpha), abs=1e-9)
 
-    def test_bits_equal_dense_formula(self):
+    def test_agrees_with_dense_formula(self):
         rng = np.random.default_rng(2015)
         for _ in range(300):
             s = int(rng.integers(1, 61))
@@ -145,7 +150,7 @@ class TestLogEvidence:
             alpha[rng.random((s, s)) < 0.1] = 1.0
             alpha = np.minimum(alpha, 1e8)
             value = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=1.0))
-            assert value == dense_log_evidence(counts, alpha)
+            assert_close(value, dense_log_evidence(counts, alpha))
 
     def test_extra_transition_favors_stronger_belief(self):
         # at two zero-diagonal states the only way beliefs in 0 -> 1 can
@@ -241,7 +246,35 @@ class TestKSweep:
         assert len(results) == len(ks) * len(catalog) == 210
         for r in results:
             alpha = elicit_prior(by_name[r.hypothesis], r.k).alpha
-            assert r.log_evidence == dense_log_evidence(n.counts, alpha)
+            assert_close(r.log_evidence, dense_log_evidence(n.counts, alpha))
+
+    def test_scorer_sees_row_sums_and_observed_cells_only(self, monkeypatch, grid_space):
+        calls = []
+
+        def spy(*arrays):
+            calls.append(arrays)
+            return scorer(*arrays)
+
+        scorer = evidence._log_evidence
+        monkeypatch.setattr(evidence, "_log_evidence", spy)
+        size = len(grid_space)
+        counts = np.zeros((size, size), dtype=np.int64)
+        counts[0, 1], counts[2, 5], counts[2, 7] = 3, 1, 4
+        n = counts_of(counts)
+        catalog = [build_uniform(size), build_inverse_distance(grid_space)]
+        ks = (0.0, 10.0)
+        k_sweep(n, catalog, ks)
+        priors = [elicit_prior(h, k) for h in catalog for k in ks]  # the sweep's call order
+        log_evidence(n, priors[-1])
+        assert len(calls) == len(priors) + 1
+        for (row_alpha, row_counts, cell_alpha, cell_counts), prior in \
+                zip(calls, priors + priors[-1:]):
+            assert [a.shape for a in (row_alpha, row_counts, cell_alpha, cell_counts)] == \
+                [(size,), (size,), (3,), (3,)]
+            np.testing.assert_array_equal(row_alpha, prior.alpha.sum(axis=1))
+            np.testing.assert_array_equal(row_counts, counts.sum(axis=1))
+            np.testing.assert_array_equal(cell_alpha, prior.alpha[counts > 0])
+            np.testing.assert_array_equal(cell_counts, [3, 1, 4])
 
     def test_empty_grid(self, grid_space):
         with pytest.raises(ValueError):
@@ -305,16 +338,22 @@ def test_sweep_matches_per_prior_oracle(case):
         results = k_sweep(n, catalog, ks)
         assert len(results) == len(ks) * len(catalog)
         for j, k in enumerate(ks):
-            scored = []
+            block = results[j * len(catalog):(j + 1) * len(catalog)]
+            assert [(r.k, r.rank) for r in block] == [(k, i) for i in range(1, len(block) + 1)]
+            assert [(-r.log_evidence, r.hypothesis) for r in block] == \
+                sorted((-r.log_evidence, r.hypothesis) for r in block)
+            scores = {r.hypothesis: r.log_evidence for r in block}
+            assert sorted(scores) == sorted(h.name for h in catalog)
             for h in catalog:
                 prior = elicit_prior(h, k)
-                value = log_evidence(n, prior)
-                assert value == dense_log_evidence(n.counts, prior.alpha)
-                scored.append((h.name, value))
-            scored.sort(key=lambda item: (-item[1], item[0]))
-            block = results[j * len(catalog):(j + 1) * len(catalog)]
-            assert [(r.hypothesis, r.k, r.log_evidence, r.rank) for r in block] == \
-                [(name, k, value, rank) for rank, (name, value) in enumerate(scored, 1)]
+                assert_close(scores[h.name], dense_log_evidence(n.counts, prior.alpha))
+                assert_close(log_evidence(n, prior), dense_log_evidence(n.counts, prior.alpha))
+            for a, b in zip(catalog, catalog[1:]):
+                if np.array_equal(a.q, b.q):  # the same beliefs tie exactly
+                    assert scores[a.name] == scores[b.name]
+            if k == 0.0:  # the flat prior: every hypothesis scores the log_evidence bits
+                flat = log_evidence(n, elicit_prior(catalog[0], 0.0))
+                assert set(scores.values()) == {flat}
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

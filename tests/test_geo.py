@@ -20,7 +20,7 @@ from tripflow.geo import (
     write_tracts,
 )
 
-from conftest import point_in_polygon, scalar_locate
+from conftest import point_in_polygon, scalar_haversine, scalar_locate
 
 FLATIRON = GeoPoint(40.74111, -73.98972)
 TIMES_SQUARE = GeoPoint(40.75773, -73.98570)
@@ -52,9 +52,11 @@ class TestHaversine:
         rng = np.random.default_rng(7)
         lat1, lat2 = center[0] + rng.uniform(-spread[0], spread[0], (2, 20000))
         lon1, lon2 = center[1] + rng.uniform(-spread[1], spread[1], (2, 20000))
-        expected = [haversine_distance(GeoPoint(*a), GeoPoint(*b)) for a, b in
-                    zip(zip(lat1.tolist(), lon1.tolist()), zip(lat2.tolist(), lon2.tolist()))]
+        pairs = [(GeoPoint(*a), GeoPoint(*b)) for a, b in
+                 zip(zip(lat1.tolist(), lon1.tolist()), zip(lat2.tolist(), lon2.tolist()))]
+        expected = [scalar_haversine(a, b) for a, b in pairs]
         assert haversine_km(lat1, lon1, lat2, lon2).tolist() == expected
+        assert [haversine_distance(a, b) for a, b in pairs[:2000]] == expected[:2000]
 
     def test_invalid_coordinates(self):
         with pytest.raises(InvalidCoordinateError):
@@ -244,7 +246,7 @@ def scalar_distances(tracts):
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = max(haversine_distance(tracts[i].centroid, tracts[j].centroid), MIN_DISTANCE_KM)
+            d = max(scalar_haversine(tracts[i].centroid, tracts[j].centroid), MIN_DISTANCE_KM)
             dist[i, j] = dist[j, i] = d
     return dist
 

@@ -92,6 +92,12 @@ class TestGaussian:
         with pytest.raises(ValueError):
             build_gaussian(grid_space, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+    def test_nan_or_infinite_sigma_rejected(self, grid_space, sigma):
+        for center in (None, GeoPoint(40.75, -73.99)):
+            with pytest.raises(ValueError, match=r"sigma must be finite and > 0, got"):
+                build_gaussian(grid_space, sigma, center)
+
     def test_underflowing_rows_peak_at_nearest_target(self):
         # At sigma 0.01 km both off-diagonal entries of row 0 underflow; rows 1
         # and 2 keep their kernel values.

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import TransitionCounts, TripRows, transition_counts
+from .ingest import TransitionCounts, TripRows, transition_counts, trip_rows
 from .tensor import FactorSet
 
 
@@ -38,7 +38,7 @@ def cluster_selection(f: FactorSet, component: int, n: int) -> tuple[list[int], 
 def cluster_counts(trips: TripRows, hours: Sequence[int], dropoffs: Sequence[int],
                    size: int) -> TransitionCounts:
     """Transition counts of the trips whose hour and dropoff tract are both selected."""
-    rows = np.asarray(trips, dtype=np.int64).reshape(-1, 3)
+    rows = trip_rows(trips, size)
     keep = np.isin(rows[:, 0], hours) & np.isin(rows[:, 2], dropoffs)
     return transition_counts(rows[keep], size)
 

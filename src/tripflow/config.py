@@ -176,10 +176,15 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
         raise ConfigError("k values must be finite and >= 0")
     if any(not 0 < s < math.inf for s in config.sigma_grid):
         raise ConfigError("sigma values must be finite and > 0")
-    # a sigma's {:g} label and a landmark's name are parts of hypothesis names, which must differ
+    # a sigma's {:g} label, a landmark's name and a gravitational-target key are parts of
+    # hypothesis names, which must differ
+    targets = (config.catalog.all_venues_key, *config.catalog.venue_category_keys,
+               *config.catalog.census_indicator_keys)
     for key, what, items in (("k_grid", "value", config.k_grid),
                              ("sigma_grid", "label", [f"{s:g}" for s in config.sigma_grid]),
-                             ("landmarks", "name", [name for name, _ in config.catalog.landmarks])):
+                             ("landmarks", "name", [name for name, _ in config.catalog.landmarks]),
+                             ("all_venues_key + venue_category_keys + census_indicator_keys",
+                              "key", targets)):
         repeated = sorted({str(v) for i, v in enumerate(items) if v in items[:i]})
         if repeated:
             raise ConfigError(f"{key} repeats the {what}(s) {' '.join(repeated)}")

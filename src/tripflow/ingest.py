@@ -44,7 +44,11 @@ TripRows = Union[Sequence[Trip], np.ndarray]
 
 def trip_rows(trips: TripRows, size: int) -> np.ndarray:
     """The trips as an (m, 3) int64 array, every hour in the week and tract below ``size``."""
-    rows = np.asarray(trips, dtype=np.int64).reshape(-1, 3)
+    rows = np.asarray(trips, dtype=np.int64)
+    if rows.shape == (0,):  # an empty sequence
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"trip rows must be (m, 3), got shape {rows.shape}")
     outside = ((rows < 0) | (rows >= (HOURS_PER_WEEK, size, size))).any(axis=1)
     if outside.any():
         raise IndexError(f"trip row {tuple(rows[np.argmax(outside)].tolist())} out of range "

@@ -123,11 +123,10 @@ class DecompositionTrace:
 
 def _mttkrp(coords, vals, factors, mode, dims):
     """Matricized-tensor-times-Khatri-Rao product for one mode, from sparse coords."""
-    others = [m for m in range(3) if m != mode]
-    contrib = vals[:, None] * factors[others[0]][coords[others[0]]] * factors[others[1]][coords[others[1]]]
-    out = np.zeros((dims[mode], factors[0].shape[1]))
-    np.add.at(out, coords[mode], contrib)
-    return out
+    a, b = (m for m in range(3) if m != mode)
+    contrib = vals[:, None] * factors[a][coords[a]] * factors[b][coords[b]]
+    return np.column_stack([np.bincount(coords[mode], weights=column, minlength=dims[mode])
+                            for column in contrib.T])
 
 
 def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,24 +147,19 @@ def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _error_from_slices(coords, vals, dims, factors, scale) -> float:
     """Exact Frobenius reconstruction error, accumulated hour slice by hour slice.
 
-    Dense evaluation per slice keeps the value cancellation-free, so the
-    recorded objective trace stays monotone to within float noise that
-    shrinks with the error itself.
+    Each hour's dense model slice, minus that hour's entries in place, is the
+    residual; its squared sum is cancellation-free, so the recorded objective
+    trace stays monotone to within float noise that shrinks with the error.
     """
-    hours, pickups, dropoffs = coords  # sorted by hour, as MobilityTensor keeps them
+    hours, pickups, dropoffs = coords  # sorted by hour and unique, as MobilityTensor keeps them
     tfac, pfac, dfac = factors
     boundaries = np.searchsorted(hours, np.arange(dims[0] + 1))
     err2 = 0.0
     for h in range(dims[0]):
-        weights = scale * tfac[h]
-        model = (pfac * weights) @ dfac.T
+        residual = (pfac * (scale * tfac[h])) @ dfac.T
         lo, hi = boundaries[h], boundaries[h + 1]
-        if hi > lo:
-            slice_dense = np.zeros((dims[1], dims[2]))
-            slice_dense[pickups[lo:hi], dropoffs[lo:hi]] = vals[lo:hi]
-            err2 += float(((slice_dense - model) ** 2).sum())
-        else:
-            err2 += float((model ** 2).sum())
+        residual[pickups[lo:hi], dropoffs[lo:hi]] -= vals[lo:hi]
+        err2 += float((residual ** 2).sum())
     return float(np.sqrt(max(err2, 0.0)))
 
 
@@ -220,11 +214,8 @@ def ntf_decompose(x: MobilityTensor, r: int,
         for mode in range(3):
             scaled = factors[mode] * scale
             numerator = _mttkrp(coords, vals, factors, mode, dims)
-            gram = np.ones((r, r))
-            for m in range(3):
-                if m != mode:
-                    gram *= grams[m]
-            denominator = scaled @ gram
+            a, b = (m for m in range(3) if m != mode)
+            denominator = scaled @ (grams[a] * grams[b])
             scaled *= numerator / np.maximum(denominator, opts.epsilon)
             factors[mode], scale = _normalize_columns(scaled)
             grams[mode] = factors[mode].T @ factors[mode]
@@ -256,13 +247,11 @@ def save_factors(directory, f: FactorSet, *, seed: int,
         with open(directory / filename, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", *(f"c{c}" for c in range(f.r))])
-            for i in range(matrix.shape[0]):
-                writer.writerow([i, *(repr(float(v)) for v in matrix[i])])
+            writer.writerows([i, *map(repr, row)] for i, row in enumerate(matrix.tolist()))
     with open(directory / "factors_scale.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component", "scale"])
-        for c in range(f.r):
-            writer.writerow([c, repr(float(f.scale[c]))])
+        writer.writerows([c, repr(s)] for c, s in enumerate(f.scale.tolist()))
     meta = {"r": f.r, "seed": seed}
     if trace is not None:
         meta.update({

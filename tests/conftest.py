@@ -8,7 +8,7 @@ import pytest
 from tripflow.geo import EARTH_RADIUS_KM, GeoPoint, StateSpace, Tract
 from tripflow.hypotheses import CatalogConfig
 from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
-from tripflow.tensor import FactorSet, MobilityTensor
+from tripflow.tensor import FactorSet, MobilityTensor, _normalize_columns
 
 
 def make_space(distances, properties=None) -> StateSpace:
@@ -175,3 +175,64 @@ def loop_intervening_opportunities(space: StateSpace, w, eps: float,
         q[i] = numerator / np.maximum(denominator, 1.0)
     np.fill_diagonal(q, 0.0)
     return q
+
+
+# --- NTF kernels: the bodies that ``tensor._mttkrp``, ``tensor._error_from_slices`` and the
+# update's Gram product replaced, kept as their oracles
+
+
+def addat_mttkrp(coords, vals, factors, mode, dims):
+    """MTTKRP scattered row by row into a zero matrix with ``np.add.at``."""
+    a, b = (m for m in range(3) if m != mode)
+    contrib = vals[:, None] * factors[a][coords[a]] * factors[b][coords[b]]
+    out = np.zeros((dims[mode], factors[0].shape[1]))
+    np.add.at(out, coords[mode], contrib)
+    return out
+
+
+def dense_slice_error(coords, vals, dims, factors, scale) -> float:
+    """Frobenius error from each hour's entries scattered into a zero slice, minus the model."""
+    hours, pickups, dropoffs = coords
+    tfac, pfac, dfac = factors
+    boundaries = np.searchsorted(hours, np.arange(dims[0] + 1))
+    err2 = 0.0
+    for h in range(dims[0]):
+        weights = scale * tfac[h]
+        model = (pfac * weights) @ dfac.T
+        lo, hi = boundaries[h], boundaries[h + 1]
+        if hi > lo:
+            slice_dense = np.zeros((dims[1], dims[2]))
+            slice_dense[pickups[lo:hi], dropoffs[lo:hi]] = vals[lo:hi]
+            err2 += float(((slice_dense - model) ** 2).sum())
+        else:
+            err2 += float((model ** 2).sum())
+    return float(np.sqrt(max(err2, 0.0)))
+
+
+def oracle_decompose(x: MobilityTensor, r: int, opts) -> tuple[list, np.ndarray, list[float]]:
+    """``ntf_decompose``'s sweeps with the oracle kernels and the update's Gram product built
+    from a ones matrix; returns the factors, the scale and the error trace."""
+    *coords, vals = x.coords()
+    rng = np.random.default_rng(opts.seed)
+    factors, scale = [], np.ones(r)
+    for dim in x.dims:
+        normalized, norms = _normalize_columns(1.0 - rng.random((dim, r)))
+        factors.append(normalized)
+        scale *= norms
+    errors = [dense_slice_error(coords, vals, x.dims, factors, scale)]
+    grams = [f.T @ f for f in factors]
+    for _ in range(opts.max_iters):
+        for mode in range(3):
+            scaled = factors[mode] * scale
+            numerator = addat_mttkrp(coords, vals, factors, mode, x.dims)
+            gram = np.ones((r, r))
+            for m in range(3):
+                if m != mode:
+                    gram *= grams[m]
+            scaled *= numerator / np.maximum(scaled @ gram, opts.epsilon)
+            factors[mode], scale = _normalize_columns(scaled)
+            grams[mode] = factors[mode].T @ factors[mode]
+        errors.append(dense_slice_error(coords, vals, x.dims, factors, scale))
+        if abs(errors[-2] - errors[-1]) <= opts.rel_tol * x.frobenius_norm():
+            break
+    return factors, scale, errors

@@ -194,8 +194,8 @@ class TestCli:
             assert (out / name).is_file(), name
         assert "rank: ok" in capsys.readouterr().out
 
-    def test_catalog_manifest_lists_70(self, mini_fixture):
-        with open(mini_fixture / "out" / "catalog_manifest.csv") as fh:
+    def test_catalog_manifest_lists_70(self, mini_copy):
+        with open(mini_copy.parent / "out" / "catalog_manifest.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 70
 
@@ -216,11 +216,11 @@ class TestCli:
         assert {len(row) for row in rows} == {3}
         assert "centroid_a,b_sigma_1" in {row[0] for row in rows}
 
-    def test_rank_k0_all_tied(self, mini_fixture):
-        code = main(["rank", "--config", str(mini_fixture / "mini.cfg"), "--k", "0"])
+    def test_rank_k0_all_tied(self, mini_copy):
+        code = main(["rank", "--config", str(mini_copy), "--k", "0"])
         assert code == 0
         values = {}
-        with open(mini_fixture / "out" / "rankings.csv") as fh:
+        with open(mini_copy.parent / "out" / "rankings.csv") as fh:
             for row in csv.DictReader(fh):
                 assert float(row["k"]) == 0.0
                 values.setdefault(row["cluster"], []).append(float(row["log_evidence"]))
@@ -236,8 +236,8 @@ class TestCli:
         second = {p.name: p.read_bytes() for p in out.glob("factors_*")}
         assert first == second
 
-    def test_ingest_summary_conserves(self, mini_fixture):
-        summary = json.loads((mini_fixture / "out" / "ingest_summary.json").read_text())
+    def test_ingest_summary_conserves(self, mini_copy):
+        summary = json.loads((mini_copy.parent / "out" / "ingest_summary.json").read_text())
         assert summary["accepted"] + sum(summary["rejected"].values()) == \
             summary["input_records"]
 
@@ -299,6 +299,9 @@ class TestCli:
         ([], "[catalog]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label(s) 1"),
         ([], "[catalog]\nlandmarks = a 40.7 -74.0; b 40.8 -74.0; a 40.9 -74.0\n",
          "landmarks repeats the name(s) a"),
+        ([], "[catalog]\nvenue_category_keys = venues_all venues_food\n",
+         "census_indicator_keys repeats the key(s) venues_all"),
+        ([], "[catalog]\ncensus_indicator_keys = income income\n", "repeats the key(s) income"),
     ])
     def test_bad_grid_fails_before_any_stage(self, mini_fixture, tmp_path, capsys,
                                              args, text, key):

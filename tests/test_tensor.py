@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tripflow import tensor
 from tripflow.ingest import Trip
 from tripflow.tensor import (
     FactorSet,
@@ -13,7 +14,8 @@ from tripflow.tensor import (
     save_factors,
 )
 
-from conftest import best_match_min_cosine, cosine, planted_rank3
+from conftest import (addat_mttkrp, best_match_min_cosine, cosine, dense_slice_error,
+                      oracle_decompose, planted_rank3)
 
 
 def as_dict(x: MobilityTensor) -> dict[tuple[int, int, int], float]:
@@ -154,3 +156,66 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(loaded.pickup, f.pickup)
     assert np.array_equal(loaded.dropoff, f.dropoff)
     assert np.array_equal(loaded.scale, f.scale)
+
+
+def random_coo(dims, nnz, r, seed):
+    """Random sorted unique COO tensor with positive values, random factors and scale.
+
+    Unless ``nnz`` fills the tensor, hour 0 has no entries.
+    """
+    rng = np.random.default_rng(seed)
+    cells = np.prod(dims)
+    first = 0 if nnz == cells else dims[1] * dims[2]
+    flat = np.sort(rng.choice(np.arange(first, cells), size=nnz, replace=False))
+    x = MobilityTensor(dims=dims, entries=np.column_stack(np.unravel_index(flat, dims)),
+                       values=rng.uniform(0.1, 5.0, nnz))
+    factors = [rng.random((dim, r)) for dim in dims]
+    return x, factors, rng.uniform(0.5, 50.0, r)
+
+
+# (dims, nnz, r, seed); every case but the last leaves hour 0 without entries
+KERNEL_CASES = [((4, 3, 3), 1, 1, 0), ((6, 4, 5), 10, 1, 1), ((6, 4, 5), 30, 3, 2),
+                ((168, 5, 5), 200, 4, 3), ((3, 2, 2), 12, 2, 4)]
+
+
+class TestKernelsMatchOracles:
+    @pytest.mark.parametrize("dims, nnz, r, seed", KERNEL_CASES)
+    def test_mttkrp(self, dims, nnz, r, seed):
+        x, factors, _ = random_coo(dims, nnz, r, seed)
+        *coords, vals = x.coords()
+        for mode in range(3):
+            got = tensor._mttkrp(coords, vals, factors, mode, dims)
+            assert got.shape == (dims[mode], r)
+            assert np.array_equal(got, addat_mttkrp(coords, vals, factors, mode, dims))
+
+    @pytest.mark.parametrize("dims, nnz, r, seed", KERNEL_CASES)
+    def test_error_from_slices(self, dims, nnz, r, seed):
+        x, factors, scale = random_coo(dims, nnz, r, seed)
+        *coords, vals = x.coords()
+        assert (0 in coords[0]) == (nnz == np.prod(dims))
+        assert tensor._error_from_slices(coords, vals, dims, factors, scale) == \
+            dense_slice_error(coords, vals, dims, factors, scale)
+
+    def test_decompose_with_oracle_kernels(self, monkeypatch):
+        x, _ = planted_rank3()
+        opts = NtfOptions(seed=42, max_iters=60)
+        f, trace = ntf_decompose(x, 3, opts)
+        calls = []
+        for name, oracle in (("_mttkrp", addat_mttkrp), ("_error_from_slices", dense_slice_error)):
+            monkeypatch.setattr(tensor, name,
+                                lambda *args, oracle=oracle: calls.append(oracle) or oracle(*args))
+        g, oracle_trace = ntf_decompose(x, 3, opts)
+        assert set(calls) == {addat_mttkrp, dense_slice_error}
+        for mine, theirs in zip((*f.factors(), f.scale), (*g.factors(), g.scale)):
+            assert np.array_equal(mine, theirs)
+        assert trace.errors == oracle_trace.errors and trace.iterations == oracle_trace.iterations
+
+    @pytest.mark.parametrize("case", ["planted", "random"])
+    def test_decompose_matches_oracle_sweeps(self, case):
+        x = planted_rank3()[0] if case == "planted" else random_coo((168, 6, 6), 300, 1, 5)[0]
+        opts = NtfOptions(seed=7, max_iters=40)
+        f, trace = ntf_decompose(x, 3, opts)
+        factors, scale, errors = oracle_decompose(x, 3, opts)
+        for mine, theirs in zip((*f.factors(), f.scale), (*factors, scale)):
+            assert np.array_equal(mine, theirs)
+        assert trace.errors == errors

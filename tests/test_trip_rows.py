@@ -1,5 +1,6 @@
 """Trip rows through transition_counts, build_tensor and cluster_counts, against Counter."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tripflow.clusters import cluster_counts, cluster_selection
 from tripflow.geo import HOURS_PER_WEEK
-from tripflow.ingest import Trip, transition_counts
+from tripflow.ingest import Trip, transition_counts, trip_rows
 from tripflow.tensor import FactorSet, MobilityTensor, build_tensor
 
 
@@ -69,6 +70,24 @@ def test_cluster_counts_match_counter(case, component, n, seed):
     counts = cluster_counts(trips, hours, dropoffs, size)
     np.testing.assert_array_equal(counts.counts, pair_matrix(pairs, size))
     assert counts.total == sum(pairs.values())
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 6), dtype=np.int64), [(1, 2, 3, 4)] * 3,
+                                 np.zeros(3, dtype=np.int64), np.zeros((1, 1, 3), dtype=np.int64)])
+def test_rows_not_three_wide_rejected(bad):
+    shape = str(np.shape(bad))
+    for consume in (lambda: trip_rows(bad, 5), lambda: build_tensor(bad, 5),
+                    lambda: transition_counts(bad, 5),
+                    lambda: cluster_counts(bad, [0, 1], [0, 1], 5)):
+        with pytest.raises(ValueError, match=re.escape(shape)):
+            consume()
+
+
+@pytest.mark.parametrize("empty", [[], (), np.empty((0, 3), dtype=np.int64)])
+def test_empty_trips_give_zero_rows(empty):
+    assert trip_rows(empty, 5).shape == (0, 3)
+    assert len(build_tensor(empty, 5).values) == 0
+    assert transition_counts(empty, 5).total == cluster_counts(empty, [0], [0], 5).total == 0
 
 
 class TestMobilityTensorInvariants:

@@ -6,7 +6,7 @@ from .tensor import FactorSet, MobilityTensor, NtfOptions, build_tensor, ntf_dec
     reconstruction_error
 from .clusters import cluster_counts, cluster_selection, top_indices
 from .hypotheses import CatalogConfig, FeatureVectors, HypothesisMatrix, WeightVector, \
-    build_catalog
+    build_catalog, iter_catalog
 from .evidence import EvidenceResult, PriorMatrix, elicit_prior, k_sweep, log_evidence, \
     rank_hypotheses
 from .synth import GridSpec, PlantedCluster, PropertyRecipe, generate_from_hypothesis, \

@@ -21,7 +21,7 @@ from .clusters import cluster_counts, cluster_selection, write_membership
 from .config import ConfigError, PipelineConfig, load_config
 from .evidence import k_sweep, write_rankings
 from .geo import HOURS_PER_WEEK, StateSpace, load_tracts
-from .hypotheses import build_catalog
+from .hypotheses import build_catalog, iter_catalog
 from .ingest import REJECT_MALFORMED, TransitionCounts, clean_trips, load_clean_trips, \
     load_raw_trips, transition_counts, write_clean_trips
 from .synth import write_demo_fixture
@@ -121,25 +121,26 @@ def run_build_hypotheses(cfg: PipelineConfig) -> dict:
     return {"hypotheses": len(catalog)}
 
 
-def _load_counts_file(path: Path, size: int) -> TransitionCounts:
-    counts = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
-    if counts.shape != (size, size):
-        raise ValueError(f"{path}: expected a {size}x{size} matrix, got {counts.shape}")
-    return TransitionCounts(counts=counts, total=int(counts.sum()))
-
-
 def run_rank(cfg: PipelineConfig) -> dict:
     space, out = _open_stage(cfg)
     count_files = [out / "overall_counts.csv", *sorted(out.glob("cluster_*_counts.csv"))]
     if not count_files[0].is_file() or len(count_files) < 2:
         raise FileNotFoundError(f"count sets missing in {out}; run extract-clusters first")
-    catalog = build_catalog(space, cfg.catalog)
-    count_sets = [(path.name.removesuffix("_counts.csv"), _load_counts_file(path, len(space)))
-                  for path in count_files]
-    write_rankings(out / "rankings.csv", [(label, result) for label, counts in count_sets
-                                          for result in k_sweep(counts, catalog, cfg.k_grid)])
-    return {"count_sets": [label for label, _ in count_sets],
-            "k_grid": list(cfg.k_grid), "hypotheses": len(catalog)}
+    stack = np.empty((len(count_files), len(space), len(space)), dtype=np.int64)
+    for path, counts in zip(count_files, stack):  # one count set per slice, loaded in place
+        loaded = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
+        if loaded.shape != counts.shape:
+            raise ValueError(f"{path}: expected a {len(space)}x{len(space)} matrix, "
+                             f"got {loaded.shape}")
+        counts[...] = loaded
+    results = k_sweep(TransitionCounts(counts=stack, total=int(stack.sum())),
+                      iter_catalog(space, cfg.catalog), cfg.k_grid)
+    labels = [path.name.removesuffix("_counts.csv") for path in count_files]
+    block = len(results) // len(labels)  # one block of len(k_grid) rankings per count set
+    write_rankings(out / "rankings.csv", [(label, result) for i, label in enumerate(labels)
+                                          for result in results[i * block:(i + 1) * block]])
+    return {"count_sets": labels, "k_grid": list(cfg.k_grid),
+            "hypotheses": block // len(cfg.k_grid)}
 
 
 _STAGES = {"ingest": run_ingest, "factorize": run_factorize,

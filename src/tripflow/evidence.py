@@ -88,35 +88,55 @@ def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
     return _log_evidence(a.alpha.sum(axis=1), n.counts.sum(axis=1), a.alpha[seen], n.counts[seen])
 
 
-def rank_hypotheses(n: TransitionCounts, catalog: Sequence[HypothesisMatrix],
+def rank_hypotheses(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
                     k: float) -> list[EvidenceResult]:
     """Score the catalog at one concentration and rank by log evidence."""
     return k_sweep(n, catalog, (k,))
 
 
-def k_sweep(n: TransitionCounts, catalog: Sequence[HypothesisMatrix],
+def _check_shape(h: HypothesisMatrix, shape: tuple[int, ...]) -> HypothesisMatrix:
+    if h.q.shape != shape:
+        raise ValueError(f"{h.name}: belief shape {h.q.shape} != count shape {shape}")
+    return h
+
+
+def k_sweep(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
             ks: Sequence[float] = DEFAULT_K_GRID) -> list[EvidenceResult]:
-    """Rankings 1..H per k, descending in evidence, ties by name; concatenated in k order."""
+    """Rankings 1..H per k, descending in evidence, ties by name; concatenated in k order.
+
+    ``n.counts`` is one |S| x |S| count set or a stack of C of them, shaped
+    (C, |S|, |S|); a stack returns, bit for bit, the concatenation of the
+    sweeps of its count sets. The catalog is read once, so it may be a stream:
+    each belief matrix is row-normalized once, scored against every count set
+    and dropped. The k values are checked before any scoring; so is every
+    shape of a Sequence catalog, and each streamed hypothesis before its own.
+    """
     if not ks:
         raise ValueError("empty k grid")
-    if not catalog:
-        raise ValueError("empty hypothesis catalog")
-    counts, size = n.counts, len(n.counts)
+    stack = n.counts[None] if n.counts.ndim == 2 else n.counts
+    shape, size = stack.shape[1:], stack.shape[-1]
     for k in ks:
         _check_k(k, size)
-    for h in catalog:
-        if h.q.shape != counts.shape:
-            raise ValueError(f"{h.name}: belief shape {h.q.shape} != count shape {counts.shape}")
-    observed = np.flatnonzero(counts)
-    totals, cell_counts = counts.sum(axis=1), counts.take(observed)
-    scored: list[list[tuple[str, float]]] = [[] for _ in ks]
+    if isinstance(catalog, Sequence):
+        for h in catalog:
+            _check_shape(h, shape)
+    observed = [np.flatnonzero(counts) for counts in stack]
+    sets = [(counts.sum(axis=1), cells, counts.take(cells))
+            for counts, cells in zip(stack, observed)]
+    scored: list[list[list[tuple[str, float]]]] = [[[] for _ in ks] for _ in sets]
+    hypotheses = 0
     for h in catalog:  # alpha as in elicit_prior: its row sums, and its cells where n > 0
-        beliefs = _row_normalized(h.q)
-        cells = beliefs.take(observed)
-        for k, at_k in zip(ks, scored):
-            at_k.append((h.name, _log_evidence((1.0 + k * size * beliefs).sum(axis=1), totals,
-                                               1.0 + k * size * cells, cell_counts)))
-    return [EvidenceResult(name, k, value, rank) for k, at_k in zip(ks, scored)
+        beliefs = _row_normalized(_check_shape(h, shape).q)
+        row_alpha = [(1.0 + k * size * beliefs).sum(axis=1) for k in ks]
+        for (totals, cells, cell_counts), at_set in zip(sets, scored):
+            at_cells = beliefs.take(cells)
+            for k, rows, at_k in zip(ks, row_alpha, at_set):
+                at_k.append((h.name, _log_evidence(rows, totals, 1.0 + k * size * at_cells,
+                                                   cell_counts)))
+        hypotheses += 1
+    if not hypotheses:
+        raise ValueError("empty hypothesis catalog")
+    return [EvidenceResult(name, k, value, rank) for at_set in scored for k, at_k in zip(ks, at_set)
             for rank, (name, value) in enumerate(sorted(at_k, key=lambda s: (-s[1], s[0])), 1)]
 
 

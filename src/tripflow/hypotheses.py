@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -291,45 +291,56 @@ def _features(space: StateSpace, name: str, keys: Sequence[str]) -> FeatureVecto
     return FeatureVectors(name=name, vectors=np.column_stack(columns))
 
 
-def build_catalog(space: StateSpace, config: CatalogConfig = CatalogConfig()) -> list[HypothesisMatrix]:
-    """Materialize the full hypothesis catalog for one state space.
+def _hypotheses(space: StateSpace, config: CatalogConfig) -> Iterator[HypothesisMatrix]:
+    """Build the catalog's matrices one at a time, in catalog order."""
+    yield build_uniform(len(space))
 
-    Names are deterministic and unique; a missing tract property raises
-    CatalogConfigError naming the offending key.
-    """
-    catalog: list[HypothesisMatrix] = [build_uniform(len(space))]
-
-    catalog.append(build_inverse_distance(space))
+    yield build_inverse_distance(space)
     for sigma in config.sigma_grid:
-        catalog.append(build_gaussian(space, sigma))
+        yield build_gaussian(space, sigma)
     for landmark_name, point in config.landmarks:
         for sigma in config.sigma_grid:
-            catalog.append(build_gaussian(space, sigma, center=point,
-                                          name=f"centroid_{landmark_name}_sigma_{sigma:g}"))
+            yield build_gaussian(space, sigma, center=point,
+                                 name=f"centroid_{landmark_name}_sigma_{sigma:g}")
 
     all_venues = _weight(space, config.all_venues_key)
     checkins = _weight(space, config.checkins_key)
-    catalog.append(build_mass(space, all_venues, "density"))
-    catalog.append(build_mass(space, checkins, "popularity"))
-    catalog.append(build_mass(space, all_venues, "gravitational_mass"))
-    catalog.append(build_mass(space, all_venues, "gravitational_target"))
-    catalog.append(build_rank_distance(space, all_venues,
-                                       unweighted=config.unweighted_opportunities))
-    catalog.append(build_intervening_opportunities(space, all_venues, eps=config.io_eps,
-                                                   unweighted=config.unweighted_opportunities))
+    yield build_mass(space, all_venues, "density")
+    yield build_mass(space, checkins, "popularity")
+    yield build_mass(space, all_venues, "gravitational_mass")
+    yield build_mass(space, all_venues, "gravitational_target")
+    yield build_rank_distance(space, all_venues, unweighted=config.unweighted_opportunities)
+    yield build_intervening_opportunities(space, all_venues, eps=config.io_eps,
+                                          unweighted=config.unweighted_opportunities)
     for key in config.venue_category_keys:
-        catalog.append(build_mass(space, _weight(space, key), "gravitational_target"))
-    catalog.append(build_cosine_similarity(
-        _features(space, "venue_categories", config.venue_category_keys)))
+        yield build_mass(space, _weight(space, key), "gravitational_target")
+    yield build_cosine_similarity(_features(space, "venue_categories", config.venue_category_keys))
 
     for key in config.census_indicator_keys:
-        catalog.append(build_mass(space, _weight(space, key), "gravitational_target"))
-    catalog.append(build_cosine_similarity(_features(space, "race", config.race_keys)))
-    catalog.append(build_cosine_similarity(_features(space, "poverty", config.poverty_keys)))
-    catalog.append(build_cosine_similarity(_features(space, "employment", config.employment_keys)))
+        yield build_mass(space, _weight(space, key), "gravitational_target")
+    yield build_cosine_similarity(_features(space, "race", config.race_keys))
+    yield build_cosine_similarity(_features(space, "poverty", config.poverty_keys))
+    yield build_cosine_similarity(_features(space, "employment", config.employment_keys))
 
-    names = [h.name for h in catalog]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise CatalogConfigError(f"duplicate hypothesis names in catalog: {dupes}")
-    return catalog
+
+def iter_catalog(space: StateSpace,
+                 config: CatalogConfig = CatalogConfig()) -> Iterator[HypothesisMatrix]:
+    """Yield the hypothesis catalog for one state space, one matrix at a time.
+
+    Names are deterministic and unique. A missing tract property raises
+    CatalogConfigError naming its key, and a name that arrives a second time
+    raises it naming that name. The generator keeps no matrix but the last
+    one it yielded, so a consumer that drops each matrix holds at most two:
+    that one and the next.
+    """
+    names: set[str] = set()
+    for h in _hypotheses(space, config):
+        if h.name in names:
+            raise CatalogConfigError(f"duplicate hypothesis name in catalog: {h.name!r}")
+        names.add(h.name)
+        yield h
+
+
+def build_catalog(space: StateSpace, config: CatalogConfig = CatalogConfig()) -> list[HypothesisMatrix]:
+    """Materialize the full hypothesis catalog for one state space, in ``iter_catalog`` order."""
+    return list(iter_catalog(space, config))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -140,10 +142,23 @@ def load_raw_trips(path) -> tuple[np.ndarray, int]:
 
 
 def write_clean_trips(path, trips: Iterable[Trip]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(Trip._fields)
-        writer.writerows(trips)
+    """Write the cleaned-trips file whole or not at all.
+
+    The rows go to a temporary file in the same directory, which then
+    replaces ``path``; on any error the temporary file is removed and an
+    earlier ``path`` stays as it was, so no truncated file is left to read.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(Trip._fields)
+            writer.writerows(trips)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_clean_trips(path) -> np.ndarray:

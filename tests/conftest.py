@@ -236,3 +236,13 @@ def oracle_decompose(x: MobilityTensor, r: int, opts) -> tuple[list, np.ndarray,
         if abs(errors[-2] - errors[-1]) <= opts.rel_tol * x.frobenius_norm():
             break
     return factors, scale, errors
+
+
+def dense_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
+    """The log evidence with its cell term evaluated on every cell, zero counts included."""
+    from scipy.special import gammaln
+
+    row_alpha = alpha.sum(axis=1)
+    value = (gammaln(row_alpha) - gammaln(row_alpha + counts.sum(axis=1))
+             + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=1))
+    return float(value.sum())

@@ -31,20 +31,12 @@ from tripflow.ingest import TransitionCounts
 from tripflow.synth import generate_from_hypothesis
 from tripflow.ingest import transition_counts
 
+from conftest import dense_log_evidence
+
 
 def counts_of(matrix) -> TransitionCounts:
     counts = np.asarray(matrix, dtype=np.int64)
     return TransitionCounts(counts=counts, total=int(counts.sum()))
-
-
-def dense_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
-    """The cell term evaluated on every cell, zero counts included."""
-    from scipy.special import gammaln
-
-    row_alpha = alpha.sum(axis=1)
-    value = (gammaln(row_alpha) - gammaln(row_alpha + counts.sum(axis=1))
-             + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=1))
-    return float(value.sum())
 
 
 def assert_close(value: float, dense: float) -> None:
@@ -354,6 +346,58 @@ def test_sweep_matches_per_prior_oracle(case):
             if k == 0.0:  # the flat prior: every hypothesis scores the log_evidence bits
                 flat = log_evidence(n, elicit_prior(catalog[0], 0.0))
                 assert set(scores.values()) == {flat}
+
+
+@st.composite
+def stack_cases(draw):
+    """A sweep case with 1 to 4 of its count sets, all-zero and repeated ones included."""
+    catalog, ks, count_sets = draw(sweep_cases())
+    chosen = draw(st.lists(st.integers(0, len(count_sets) - 1), min_size=1, max_size=4))
+    return catalog, ks, [count_sets[i] for i in chosen]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_cases())
+def test_stack_sweep_is_concatenated_set_sweeps(case):
+    # the batch law: a (C, |S|, |S|) stack scores, bit for bit, as its C count sets one by one
+    catalog, ks, count_sets = case
+    stack = np.stack([n.counts for n in count_sets])
+    n = TransitionCounts(counts=stack, total=int(stack.sum()))
+    expected = [r for one in count_sets for r in k_sweep(one, catalog, ks)]
+    assert k_sweep(n, catalog, ks) == expected
+    assert k_sweep(n, iter(catalog), ks) == expected  # a stream scores as the list
+
+
+class TestStreamedCatalog:
+    def test_wrong_shape_in_stream_raised_before_it_is_scored(self, monkeypatch):
+        calls = []
+
+        def spy(*arrays):
+            calls.append(arrays)
+            return scorer(*arrays)
+
+        scorer = evidence._log_evidence
+        monkeypatch.setattr(evidence, "_log_evidence", spy)
+        stream = iter([build_uniform(3), build_uniform(2, name="small"), build_uniform(3, "late")])
+        message = re.escape("small: belief shape (2, 2) != count shape (3, 3)")
+        with pytest.raises(ValueError, match=message):
+            k_sweep(counts_of(np.ones((3, 3))), stream, (0.0, 10.0))
+        assert len(calls) == 2  # the first hypothesis at both k, nothing after it
+        monkeypatch.setattr(evidence, "_log_evidence", unreachable)
+        with pytest.raises(ValueError, match="small: belief shape"):
+            k_sweep(counts_of(np.ones((3, 3))), iter([build_uniform(2, name="small")]), (10.0,))
+
+    def test_empty_stream(self):
+        with pytest.raises(ValueError, match="empty hypothesis catalog"):
+            k_sweep(counts_of(np.ones((2, 2))), iter([]), (10.0,))
+
+    def test_bad_k_rejected_before_the_stream_is_read(self):
+        def stream():
+            raise AssertionError("catalog read before the k values were checked")
+            yield
+
+        with pytest.raises(ValueError, match="k must be finite"):
+            k_sweep(counts_of(np.ones((2, 2))), stream(), (10.0, -1.0))
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -22,6 +22,7 @@ from tripflow.hypotheses import (
     build_mass,
     build_rank_distance,
     build_uniform,
+    iter_catalog,
 )
 
 from tripflow.synth import DEMO_GRID, demo_recipe, generate_state_space
@@ -326,6 +327,25 @@ class TestCatalog:
         config = CatalogConfig(checkins_key="no_such_column")
         with pytest.raises(CatalogConfigError, match="no_such_column"):
             build_catalog(city_space, config)
+
+    def test_stream_yields_the_list_in_order(self, city_space):
+        built = build_catalog(city_space)
+        streamed = iter_catalog(city_space)
+        assert iter(streamed) is streamed  # a generator, not a list
+        pairs = list(zip(streamed, built, strict=True))
+        assert [a.name for a, _ in pairs] == [b.name for _, b in pairs]
+        for a, b in pairs:
+            assert a.q.dtype == b.q.dtype and np.array_equal(a.q, b.q)
+
+    def test_duplicate_name_raised_when_it_arrives(self, city_space):
+        config = CatalogConfig(venue_category_keys=("venues_all", "venues_food"))
+        stream = iter_catalog(city_space, config)
+        names = []
+        with pytest.raises(CatalogConfigError, match="'gravitational_target_venues_all'"):
+            for h in stream:
+                names.append(h.name)
+        assert names[-1] == "intervening_opportunities_venues_all"  # the twin comes next
+        assert names.count("gravitational_target_venues_all") == 1
 
     def test_gravitational_pair_equal_after_row_normalization(self, grid_space):
         w = WeightVector("venues_all", grid_space.property_vector("venues_all"))

@@ -140,6 +140,21 @@ class TestTripFiles:
         write_clean_trips(path, trips)
         assert [Trip(*row) for row in load_clean_trips(path).tolist()] == trips
 
+    def test_clean_trips_written_whole_or_not_at_all(self, tmp_path):
+        path = tmp_path / "trips_clean.csv"
+        write_clean_trips(path, [Trip(9, 3, 7)])
+        before = path.read_bytes()
+
+        def failing_midway():
+            for i in range(50_000):  # several buffers' worth reach the disk first
+                yield Trip(i % 168, 1, 2)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_clean_trips(path, failing_midway())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trips_clean.csv"]
+
     def test_raw_loader_counts_malformed(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_text(

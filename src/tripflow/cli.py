@@ -10,7 +10,6 @@ synthetic fixture for end-to-end runs without real data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ from .evidence import k_sweep, write_rankings
 from .geo import HOURS_PER_WEEK, StateSpace, load_tracts
 from .hypotheses import build_catalog, iter_catalog
 from .ingest import REJECT_MALFORMED, TransitionCounts, clean_trips, load_clean_trips, \
-    load_raw_trips, transition_counts, write_clean_trips
+    load_raw_trips, replaced, transition_counts, write_clean_trips, write_csv, write_json
 from .synth import write_demo_fixture
 from .tensor import build_tensor, load_factors, ntf_decompose, save_factors
 
@@ -73,9 +72,7 @@ def run_ingest(cfg: PipelineConfig) -> dict:
     write_clean_trips(out / "trips_clean.csv", trips.tolist())
     summary = {"accepted": len(trips), "rejected": tally,
                "input_records": len(raw) + malformed}
-    with open(out / "ingest_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "ingest_summary.json", summary)
     return summary
 
 
@@ -99,25 +96,25 @@ def run_extract_clusters(cfg: PipelineConfig) -> dict:
     if rows != (HOURS_PER_WEEK, len(space), len(space)):
         raise ValueError(f"factor rows (time, pickup, dropoff) {rows} do not fit the state "
                          f"space {(HOURS_PER_WEEK, len(space), len(space))}; re-run factorize")
-    overall = transition_counts(trips, len(space))
-    np.savetxt(out / "overall_counts.csv", overall.counts, fmt="%d", delimiter=",")
     sizes = {}
     for c in range(factors.r):
         hours, dropoffs = cluster_selection(factors, c, cfg.n)
         write_membership(out / f"cluster_{c}_membership.csv", factors, c, hours, dropoffs)
         counts = cluster_counts(trips, hours, dropoffs, len(space))
-        np.savetxt(out / f"cluster_{c}_counts.csv", counts.counts, fmt="%d", delimiter=",")
+        with replaced(out / f"cluster_{c}_counts.csv") as fh:
+            np.savetxt(fh, counts.counts, fmt="%d", delimiter=",")
         sizes[f"cluster_{c}"] = counts.total
+    with replaced(out / "overall_counts.csv") as fh:  # last: rank runs only once it exists
+        np.savetxt(fh, transition_counts(trips, len(space)).counts, fmt="%d", delimiter=",")
     return {"clusters": sizes, "n": cfg.n}
 
 
 def run_build_hypotheses(cfg: PipelineConfig) -> dict:
     space, out = _open_stage(cfg)
     catalog = build_catalog(space, cfg.catalog)
-    with open(out / "catalog_manifest.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["hypothesis", "states", "nonzeros"])
-        writer.writerows([h.name, h.q.shape[0], np.count_nonzero(h.q)] for h in catalog)
+    write_csv(out / "catalog_manifest.csv", ["hypothesis", "states", "nonzeros"],
+              ([h.name, h.q.shape[0], np.count_nonzero(h.q)] for h in catalog),
+              lineterminator="\n")
     return {"hypotheses": len(catalog)}
 
 

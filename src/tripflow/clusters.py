@@ -9,12 +9,11 @@ is where people go, not where they come from. Clusters may overlap.
 
 from __future__ import annotations
 
-import csv
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import TransitionCounts, TripRows, transition_counts, trip_rows
+from .ingest import TransitionCounts, TripRows, transition_counts, trip_rows, write_csv
 from .tensor import FactorSet
 
 
@@ -46,9 +45,6 @@ def cluster_counts(trips: TripRows, hours: Sequence[int], dropoffs: Sequence[int
 def write_membership(path, f: FactorSet, component: int, hours: Sequence[int],
                      dropoffs: Sequence[int]) -> None:
     """Export a cluster_selection's hours and dropoff tracts with their component weights."""
-    rows = [["hour", i, repr(float(f.time[i, component]))] for i in hours] + \
-        [["dropoff", i, repr(float(f.dropoff[i, component]))] for i in dropoffs]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "index", "weight"])
-        writer.writerows(rows)
+    write_csv(path, ["kind", "index", "weight"],
+              [["hour", i, repr(float(f.time[i, component]))] for i in hours]
+              + [["dropoff", i, repr(float(f.dropoff[i, component]))] for i in dropoffs])

@@ -17,7 +17,6 @@ scaling any belief row by a positive constant changes nothing downstream.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .hypotheses import HypothesisMatrix
-from .ingest import TransitionCounts
+from .ingest import TransitionCounts, write_csv
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
 
@@ -147,8 +146,6 @@ def write_rankings(path, rows: Iterable[tuple[str, EvidenceResult]]) -> None:
     (cluster, k, rank).
     """
     ordered = sorted(rows, key=lambda item: (item[0], item[1].k, item[1].rank))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "hypothesis", "k", "log_evidence", "rank"])
-        writer.writerows([cluster, res.hypothesis, repr(float(res.k)),
-                          repr(float(res.log_evidence)), res.rank] for cluster, res in ordered)
+    write_csv(path, ["cluster", "hypothesis", "k", "log_evidence", "rank"],
+              ([cluster, res.hypothesis, repr(float(res.k)), repr(float(res.log_evidence)),
+                res.rank] for cluster, res in ordered))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import json
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -141,24 +143,43 @@ def load_raw_trips(path) -> tuple[np.ndarray, int]:
     return raw[valid], malformed + int(np.count_nonzero(~valid))
 
 
-def write_clean_trips(path, trips: Iterable[Trip]) -> None:
-    """Write the cleaned-trips file whole or not at all.
+@contextmanager
+def replaced(path) -> Iterator[TextIO]:
+    """Open a temporary file beside ``path`` that replaces it only when the block completes.
 
-    The rows go to a temporary file in the same directory, which then
-    replaces ``path``; on any error the temporary file is removed and an
-    earlier ``path`` stays as it was, so no truncated file is left to read.
+    The one write path for stage artifacts: on any error the temporary file is
+    removed and an earlier ``path`` stays as it was, never truncated.
     """
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(Trip._fields)
-            writer.writerows(trips)
+            yield fh
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence],
+              lineterminator: str = "\r\n") -> None:
+    """Write a header row and the rows as CSV, whole or not at all."""
+    with replaced(path) as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` as indented JSON, keys sorted, with a final newline; whole or not at all."""
+    with replaced(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_clean_trips(path, trips: Iterable[Trip]) -> None:
+    """Write the cleaned-trips file, whole or not at all."""
+    write_csv(path, Trip._fields, trips)
 
 
 def load_clean_trips(path) -> np.ndarray:

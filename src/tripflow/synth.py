@@ -12,7 +12,6 @@ across platforms; identical (spec, seed) inputs reproduce identical outputs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -22,7 +21,7 @@ import numpy as np
 
 from .geo import GeoPoint, HOURS_PER_WEEK, StateSpace, Tract, write_tracts
 from .hypotheses import CatalogConfig, HypothesisMatrix, WeightVector, build_mass, build_uniform
-from .ingest import TRIPS_HEADER, Trip
+from .ingest import TRIPS_HEADER, Trip, write_json
 
 KM_PER_DEGREE_LAT = 111.32
 BASE_MONDAY = datetime(2013, 1, 7)  # a Monday, so hour-of-week 0 maps to 00:xx
@@ -241,9 +240,7 @@ def write_demo_fixture(directory, seed: int = 42) -> dict:
     space, trips, manifest = build_demo_fixture(seed)
     write_tracts(directory / "tracts.csv", space, list(config.required_keys()))
     write_trips_file(directory / "trips.csv", trips, space)
-    with open(directory / "demo_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "demo_manifest.json", manifest)
     landmarks = demo_landmarks(space)
     with open(directory / "demo.cfg", "w", encoding="utf-8") as fh:
         fh.write("[paths]\n")  # '%' doubled: the loader's interpolation escape

@@ -13,15 +13,13 @@ reconstruction error.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .geo import HOURS_PER_WEEK
-from .ingest import TripRows, trip_rows
+from .ingest import TripRows, trip_rows, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -241,17 +239,13 @@ _MODE_FILES = {"time": "factors_time.csv", "pickup": "factors_pickup.csv",
 
 def save_factors(directory, f: FactorSet, *, seed: int,
                  trace: Optional[DecompositionTrace] = None) -> None:
-    """Write one CSV per mode plus the scale vector and a metadata sidecar."""
+    """Write one CSV per mode, the scale vector, and last the sidecar that marks the set whole."""
+    (directory / "factors_meta.json").unlink(missing_ok=True)
     for mode, filename in _MODE_FILES.items():
-        matrix = getattr(f, mode)
-        with open(directory / filename, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", *(f"c{c}" for c in range(f.r))])
-            writer.writerows([i, *map(repr, row)] for i, row in enumerate(matrix.tolist()))
-    with open(directory / "factors_scale.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "scale"])
-        writer.writerows([c, repr(s)] for c, s in enumerate(f.scale.tolist()))
+        write_csv(directory / filename, ["index", *(f"c{c}" for c in range(f.r))],
+                  ([i, *map(repr, row)] for i, row in enumerate(getattr(f, mode).tolist())))
+    write_csv(directory / "factors_scale.csv", ["component", "scale"],
+              ([c, repr(s)] for c, s in enumerate(f.scale.tolist())))
     meta = {"r": f.r, "seed": seed}
     if trace is not None:
         meta.update({
@@ -260,9 +254,7 @@ def save_factors(directory, f: FactorSet, *, seed: int,
             "converged": trace.converged,
             "overcomplete": trace.overcomplete,
         })
-    with open(directory / "factors_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(directory / "factors_meta.json", meta)
 
 
 def load_factors(directory) -> FactorSet:

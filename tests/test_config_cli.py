@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import shutil
@@ -414,6 +415,44 @@ class TestCountSets:
         assert "(168, 5, 5)" in err and "(168, 20, 20)" in err
         assert list(out.glob("cluster_*")) == [] and not (out / "overall_counts.csv").exists()
         assert main(["rank", "--config", str(mini_copy)]) == 1
+
+
+class TestInterruptedStages:
+    """A stage that fails midway leaves no artifact set that the next stage accepts."""
+
+    def test_factorize_failing_on_dropoff_factors(self, mini_copy, monkeypatch, capsys):
+        out = mini_copy.parent / "out"
+        before = (out / "factors_dropoff.csv").read_bytes()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and "factors_dropoff.csv" in Path(file).name:
+                raise OSError("disk full")
+            return real_open(file, mode, *args, **kwargs)
+
+        real_open = builtins.open  # failing at the open keeps the earlier file: a mixed set
+        with monkeypatch.context() as patched:
+            patched.setattr(builtins, "open", failing_open)
+            assert main(["factorize", "--config", str(mini_copy), "--seed", "7"]) == 1
+        assert (out / "factors_dropoff.csv").read_bytes() == before
+        assert list(out.glob(".*.tmp")) == []
+        assert main(["extract-clusters", "--config", str(mini_copy)]) == 1
+        assert "factor files not found" in capsys.readouterr().err
+
+    def test_extract_clusters_failing_on_second_component(self, mini_copy, monkeypatch, capsys):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return counted(*args)
+
+        counted = tripflow.cli.cluster_counts
+        monkeypatch.setattr(tripflow.cli, "cluster_counts", failing)
+        assert main(["extract-clusters", "--config", str(mini_copy)]) == 1
+        assert (mini_copy.parent / "out" / "cluster_0_counts.csv").is_file()
+        assert main(["rank", "--config", str(mini_copy)]) == 1
+        assert "run extract-clusters first" in capsys.readouterr().err
 
 
 class TestStreamedRank:

@@ -1,7 +1,9 @@
+import ast
 import csv
 import math
 from collections import Counter
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from tripflow.ingest import (
     load_clean_trips,
     transition_counts,
     write_clean_trips,
+    write_csv,
+    write_json,
 )
 from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
 
@@ -133,6 +137,12 @@ class TestTransitionCounts:
             transition_counts([Trip(0, 0, 5)], 3)
 
 
+def _disk_full_midway():
+    for i in range(50_000):  # several buffers' worth reach the disk first
+        yield Trip(i % 168, 1, 2)
+    raise OSError("disk full")
+
+
 class TestTripFiles:
     def test_clean_trips_roundtrip(self, tmp_path):
         trips = [Trip(9, 3, 7), Trip(120, 0, 19)]
@@ -140,20 +150,20 @@ class TestTripFiles:
         write_clean_trips(path, trips)
         assert [Trip(*row) for row in load_clean_trips(path).tolist()] == trips
 
-    def test_clean_trips_written_whole_or_not_at_all(self, tmp_path):
-        path = tmp_path / "trips_clean.csv"
-        write_clean_trips(path, [Trip(9, 3, 7)])
+    @pytest.mark.parametrize("write, payload, error", [
+        (write_clean_trips, _disk_full_midway, "disk full"),
+        (lambda path, rows: write_csv(path, Trip._fields, rows), _disk_full_midway, "disk full"),
+        (write_json, lambda: [[i % 168, 1, 2] for i in range(50_000)] + [object()],
+         "not JSON serializable"),
+    ], ids=["write_clean_trips", "write_csv", "write_json"])
+    def test_written_whole_or_not_at_all(self, tmp_path, write, payload, error):
+        path = tmp_path / "artifact"
+        write(path, [Trip(9, 3, 7)])
         before = path.read_bytes()
-
-        def failing_midway():
-            for i in range(50_000):  # several buffers' worth reach the disk first
-                yield Trip(i % 168, 1, 2)
-            raise OSError("disk full")
-
-        with pytest.raises(OSError, match="disk full"):
-            write_clean_trips(path, failing_midway())
+        with pytest.raises((OSError, TypeError), match=error):
+            write(path, payload())
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["trips_clean.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
     def test_raw_loader_counts_malformed(self, tmp_path):
         path = tmp_path / "trips.csv"
@@ -325,3 +335,33 @@ def test_huge_passenger_counts_keep_their_sign(tmp_path):
     trips, tally = clean_trips(raw, DIRTY_SPACE)
     assert trips.tolist() == [[9, 0, 1]]
     assert tally == {"passengers": 1}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tripflow"
+# Fixture writers below ingest in the import order, and the path-bearing demo config.
+FIXTURE_WRITES = {("geo", "write_tracts", "path"), ("synth", "write_trips_file", "path"),
+                  ("synth", "write_demo_fixture", "directory / 'demo.cfg'")}
+
+
+def _file_writes(module: str, tree: ast.Module):
+    """(module, function, target) of each write-mode open, path-taking np.savetxt or os.replace.
+
+    A savetxt into the handle of a ``with replaced(...) as fh`` block takes no path.
+    """
+    for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        handles = {item.optional_vars.id for node in ast.walk(func) if isinstance(node, ast.With)
+                   for item in node.items if isinstance(item.optional_vars, ast.Name)
+                   and ast.unparse(item.context_expr).startswith("replaced(")}
+        for call in (node for node in ast.walk(func) if isinstance(node, ast.Call)):
+            name, target = ast.unparse(call.func), ast.unparse(call.args[0]) if call.args else ""
+            modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+            if (name == "open" and any(set(ast.literal_eval(m)) & set("wax+") for m in modes)
+                    or name == "np.savetxt" and target not in handles or name == "os.replace"):
+                yield module, func.name, target
+
+
+def test_every_artifact_written_through_replaced():
+    writes = {w for path in sorted(SRC.glob("*.py"))
+              for w in _file_writes(path.stem, ast.parse(path.read_text(encoding="utf-8")))}
+    assert {("ingest", "replaced", "partial")} <= writes  # its open and os.replace are seen
+    assert writes - {("ingest", "replaced", "partial")} - FIXTURE_WRITES == set()

@@ -1,5 +1,10 @@
 """Mobility-cluster discovery and Bayesian hypothesis ranking for trip data."""
 
+import os
+# Every BLAS product here is small, so a second OpenBLAS thread only spins: pin
+# one before numpy loads its pool. A value already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .geo import GeoPoint, StateSpace, Tract, haversine_distance, hour_of_week, locate
 from .ingest import RAW_TRIP, TransitionCounts, Trip, clean_trips, transition_counts
 from .tensor import FactorSet, MobilityTensor, NtfOptions, build_tensor, ntf_decompose, \

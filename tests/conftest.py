@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +49,16 @@ def city_space() -> StateSpace:
     grid = GridSpec(rows=24, cols=12, origin=GeoPoint(40.738, -73.998), spacing_km=0.25)
     recipe = PropertyRecipe(keys=CatalogConfig().required_keys())
     return generate_state_space(grid, recipe, seed=42)
+
+
+def fresh_python(*args: str, env: dict) -> str:
+    """Standard output of a new interpreter, run with `args`, that imports `src/`'s tripflow."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def planted_rank3() -> tuple[MobilityTensor, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import json
+import os
 import shutil
 import weakref
 import subprocess
@@ -19,11 +20,14 @@ from tripflow.evidence import k_sweep, write_rankings
 from tripflow.geo import GeoPoint, load_tracts, write_tracts
 from tripflow.hypotheses import (CatalogConfig, CatalogConfigError, WeightVector, build_catalog,
                                  build_intervening_opportunities, build_uniform)
-from tripflow.ingest import TransitionCounts, load_clean_trips, transition_counts
+from tripflow.ingest import (TransitionCounts, load_clean_trips, transition_counts,
+                             write_clean_trips)
 from tripflow.synth import demo_landmarks, generate_from_hypothesis, write_trips_file
 from tripflow.tensor import FactorSet, save_factors
 
 from tripflow.geo import HOURS_PER_WEEK
+
+from conftest import fresh_python
 
 
 class TestDefaults:
@@ -537,3 +541,27 @@ class TestBenchTracer:
         expected = {f"cli.{s.replace('-', '_')}" for s in self.STAGES} | set(self.WRAPPED)
         assert expected - names == set()
         assert "tensor.reconstruction_error" in {span[0] for span in traced["probe"]["spans"]}
+
+
+def test_blas_thread_count_leaves_artifacts_unchanged(city_space, tmp_path):
+    # At r=7 on 288 tracts OpenBLAS splits each hour's (S, r) @ (r, S) product over its
+    # threads; the factors, the error and the catalog must not depend on how many it has.
+    write_tracts(tmp_path / "tracts.csv", city_space, sorted(city_space.tracts[0].properties))
+    rng = np.random.default_rng(11)
+    trips = np.column_stack([rng.integers(0, HOURS_PER_WEEK, 4000),
+                             rng.integers(0, len(city_space), (4000, 2))]).tolist()
+    stages = ("import sys; from tripflow.cli import main; "
+              "sys.exit(main(['factorize', '--config', sys.argv[1]]) "
+              "or main(['build-hypotheses', '--config', sys.argv[1]]))")
+    artifacts = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        out.mkdir()
+        write_clean_trips(out / "trips_clean.csv", trips)
+        cfg = tmp_path / f"threads{threads}.cfg"
+        cfg.write_text(f"[paths]\ntracts = {tmp_path / 'tracts.csv'}\noutput_dir = {out}\n"
+                       "[pipeline]\nr = 7\nmax_iters = 5\nrel_tol = 1e-12\n", encoding="utf-8")
+        fresh_python("-c", stages, str(cfg), env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        artifacts[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"factors_meta.json", "catalog_manifest.csv"} <= artifacts["1"].keys()
+    assert artifacts["1"] == artifacts["2"]

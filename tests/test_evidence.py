@@ -1,9 +1,6 @@
 import math
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +28,7 @@ from tripflow.ingest import TransitionCounts
 from tripflow.synth import generate_from_hypothesis
 from tripflow.ingest import transition_counts
 
-from conftest import dense_log_evidence
+from conftest import dense_log_evidence, fresh_python
 
 
 def counts_of(matrix) -> TransitionCounts:
@@ -402,11 +399,32 @@ class TestStreamedCatalog:
 
 def test_cli_import_leaves_scipy_special_unloaded():
     # Only ranking needs gammaln; every other stage process skips its import time.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", "import sys, tripflow.cli; "
-                           "print('scipy.special' in sys.modules)"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    out = fresh_python("-c", "import sys, tripflow.cli; print('scipy.special' in sys.modules)",
+                       env=dict(os.environ))
+    assert out.strip() == "False"
+
+
+# Prints the variable, then the thread count of each bundled OpenBLAS that is found.
+_BLAS_THREADS = """
+import tripflow.cli, scipy.special
+import ctypes, os, pathlib, numpy, scipy
+print(os.environ["OPENBLAS_NUM_THREADS"])
+for module, symbol in ((numpy, "scipy_openblas_get_num_threads64_"),
+                       (scipy, "scipy_openblas_get_num_threads")):
+    libs = pathlib.Path(module.__file__).parent.parent / (module.__name__ + ".libs")
+    for lib in sorted(libs.glob("*openblas*")):
+        get = getattr(ctypes.CDLL(str(lib)), symbol)
+        get.restype = ctypes.c_int
+        print(get())
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_stage_processes_run_one_blas_thread_unless_set(preset, expected):
+    # Every BLAS product is small, so a second thread only spins; a user's own setting wins.
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    variable, *threads = fresh_python("-c", _BLAS_THREADS, env=env).split()
+    assert variable == expected
+    assert threads == [expected] * len(threads)

@@ -19,10 +19,11 @@ import numpy as np
 from .clusters import cluster_counts, cluster_selection, write_membership
 from .config import ConfigError, PipelineConfig, load_config
 from .evidence import k_sweep, write_rankings
+from .files import replaced, write_csv, write_json
 from .geo import HOURS_PER_WEEK, StateSpace, load_tracts
 from .hypotheses import build_catalog, iter_catalog
 from .ingest import REJECT_MALFORMED, TransitionCounts, clean_trips, load_clean_trips, \
-    load_raw_trips, replaced, transition_counts, write_clean_trips, write_csv, write_json
+    load_raw_trips, transition_counts, write_clean_trips
 from .synth import write_demo_fixture
 from .tensor import build_tensor, load_factors, ntf_decompose, save_factors
 
@@ -88,7 +89,6 @@ def run_factorize(cfg: PipelineConfig) -> dict:
 def run_extract_clusters(cfg: PipelineConfig) -> dict:
     space, out = _open_stage(cfg)
     trips = _load_cleaned_trips(out)
-    _input_file(out / "factors_meta.json", "factor files")
     factors = load_factors(out)
     for stale in [*out.glob("cluster_*"), out / "overall_counts.csv"]:  # earlier runs', any r
         stale.unlink(missing_ok=True)

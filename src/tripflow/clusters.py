@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import TransitionCounts, TripRows, transition_counts, trip_rows, write_csv
+from .files import write_csv
+from .ingest import TransitionCounts, TripRows, transition_counts, trip_rows
 from .tensor import FactorSet
 
 

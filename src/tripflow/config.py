@@ -3,10 +3,10 @@
 The config file is INI-style with three sections. ``[paths]`` holds tracts,
 trips, and output_dir; ``[pipeline]`` holds the numeric knobs (named exactly
 as the PipelineConfig fields); ``[catalog]`` optionally overrides the
-hypothesis catalog (named exactly as the CatalogConfig fields). The sigma
-grid lives in CatalogConfig but may be set in either section. Every
-default reproduces the values baked into the library: r=7 components, top-10
-selection, k grid {0,1,5,10,50,100}, the seven-value sigma grid, seed 42.
+hypothesis catalog (named exactly as the CatalogConfig fields). Each key
+belongs to exactly one section. Every default reproduces the values baked
+into the library: r=7 components, top-10 selection, k grid
+{0,1,5,10,50,100}, the seven-value sigma grid, seed 42.
 
 Path entries can also come from the environment: TRIPFLOW_TRACTS,
 TRIPFLOW_TRIPS, and TRIPFLOW_OUTPUT_DIR override the file when set.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -45,10 +45,6 @@ class PipelineConfig:
     epsilon: float = NtfOptions.epsilon
     exclude_self_loops: bool = True
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
-
-    @property
-    def sigma_grid(self) -> tuple[float, ...]:
-        return self.catalog.sigma_grid
 
     def ntf_options(self) -> NtfOptions:
         return NtfOptions(**{f.name: getattr(self, f.name) for f in fields(NtfOptions)})
@@ -99,8 +95,7 @@ def _field_parsers(cls) -> dict:
 
 _PIPELINE_FIELDS = _field_parsers(PipelineConfig)
 _SECTIONS = {"paths": {k: p for k, p in _PIPELINE_FIELDS.items() if p is Path},
-             "pipeline": {k: p for k, p in _PIPELINE_FIELDS.items() if p is not Path}
-                         | {"sigma_grid": _floats},
+             "pipeline": {k: p for k, p in _PIPELINE_FIELDS.items() if p is not Path},
              "catalog": _field_parsers(CatalogConfig)}
 
 
@@ -127,8 +122,7 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
     """Build a PipelineConfig from an optional file plus keyword overrides.
 
     Precedence, lowest to highest: built-in defaults, config file,
-    environment path variables, explicit overrides (CLI flags). A
-    ``sigma_grid`` in ``[pipeline]`` beats one in ``[catalog]``.
+    environment path variables, explicit overrides (CLI flags).
     """
     values: dict = {}
     catalog: dict = {}
@@ -150,17 +144,15 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
         if os.environ.get(f"TRIPFLOW_{key.upper()}"):
             values[key] = Path(os.environ[f"TRIPFLOW_{key.upper()}"])
 
-    known = {f.name for f in fields(PipelineConfig)} | {"sigma_grid"}
+    known = {f.name for f in fields(PipelineConfig)}
     for key, value in overrides.items():
         if key not in known:
             raise ConfigError(f"unknown config override {key!r}")
         if value is not None:
             values[key] = value
 
-    # sigma_grid from [pipeline] or an override beats [catalog] and a catalog override
-    moved = {key: values.pop(key) for key in list(values) if key in _SECTIONS["catalog"]}
-    values["catalog"] = replace(values.get("catalog") or CatalogConfig(**catalog), **moved)
-    config = PipelineConfig(**values)
+    # a catalog override replaces the file's [catalog] section whole
+    config = PipelineConfig(**({"catalog": CatalogConfig(**catalog)} | values))
     for key, ok, rule in (("r", config.r >= 1, ">= 1"), ("n", config.n >= 1, ">= 1"),
                           ("seed", config.seed >= 0, ">= 0"),
                           ("max_iters", config.max_iters >= 1, ">= 1"),
@@ -174,14 +166,15 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
         raise ConfigError("k_grid must list at least one value")
     if any(not 0 <= k < math.inf for k in config.k_grid):
         raise ConfigError("k values must be finite and >= 0")
-    if any(not 0 < s < math.inf for s in config.sigma_grid):
+    if any(not 0 < s < math.inf for s in config.catalog.sigma_grid):
         raise ConfigError("sigma values must be finite and > 0")
     # a sigma's {:g} label, a landmark's name and a gravitational-target key are parts of
     # hypothesis names, which must differ
     targets = (config.catalog.all_venues_key, *config.catalog.venue_category_keys,
                *config.catalog.census_indicator_keys)
     for key, what, items in (("k_grid", "value", config.k_grid),
-                             ("sigma_grid", "label", [f"{s:g}" for s in config.sigma_grid]),
+                             ("sigma_grid", "label",
+                              [f"{s:g}" for s in config.catalog.sigma_grid]),
                              ("landmarks", "name", [name for name, _ in config.catalog.landmarks]),
                              ("all_venues_key + venue_category_keys + census_indicator_keys",
                               "key", targets)):

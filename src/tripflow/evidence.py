@@ -23,8 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .files import write_csv
 from .hypotheses import HypothesisMatrix
-from .ingest import TransitionCounts, write_csv
+from .ingest import TransitionCounts
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
 

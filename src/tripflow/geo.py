@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .files import write_csv
+
 EARTH_RADIUS_KM = 6371.0088
 MIN_DISTANCE_KM = 1e-6  # floor for distinct tracts with coincident centroids
 HOURS_PER_WEEK = 168
@@ -237,13 +239,8 @@ def load_tracts(path) -> StateSpace:
 
 
 def write_tracts(path, space: StateSpace, property_keys: Sequence[str]) -> None:
-    """Write a StateSpace back to the tracts CSV format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tract_id", "lat", "lon", "area_sqkm", "polygon", *property_keys])
-        for t in space.tracts:
-            ring = ";".join(f"{p.lat!r} {p.lon!r}" for p in t.polygon) if t.polygon else ""
-            writer.writerow([
-                t.id, repr(t.centroid.lat), repr(t.centroid.lon), repr(t.area), ring,
-                *(repr(t.properties[k]) for k in property_keys),
-            ])
+    """Write a StateSpace back to the tracts CSV format, whole or not at all."""
+    write_csv(path, ["tract_id", "lat", "lon", "area_sqkm", "polygon", *property_keys],
+              ([t.id, repr(t.centroid.lat), repr(t.centroid.lon), repr(t.area),
+                ";".join(f"{p.lat!r} {p.lon!r}" for p in t.polygon) if t.polygon else "",
+                *(repr(t.properties[k]) for k in property_keys)] for t in space.tracts))

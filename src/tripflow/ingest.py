@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import csv
-import json
-import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from .files import write_csv
 from .geo import HOURS_PER_WEEK, StateSpace, hour_of_week, locate
 
 # Rejection reasons, in the order the filters are applied; a record is
@@ -141,40 +138,6 @@ def load_raw_trips(path) -> tuple[np.ndarray, int]:
     ends = np.column_stack([raw[name] for name in TRIPS_HEADER[1:5]])
     valid = (np.abs(ends) <= (90.0, 180.0, 90.0, 180.0)).all(axis=1)  # NaN compares False
     return raw[valid], malformed + int(np.count_nonzero(~valid))
-
-
-@contextmanager
-def replaced(path) -> Iterator[TextIO]:
-    """Open a temporary file beside ``path`` that replaces it only when the block completes.
-
-    The one write path for stage artifacts: on any error the temporary file is
-    removed and an earlier ``path`` stays as it was, never truncated.
-    """
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
-def write_csv(path, header: Sequence, rows: Iterable[Sequence],
-              lineterminator: str = "\r\n") -> None:
-    """Write a header row and the rows as CSV, whole or not at all."""
-    with replaced(path) as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_json(path, data) -> None:
-    """Write ``data`` as indented JSON, keys sorted, with a final newline; whole or not at all."""
-    with replaced(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_clean_trips(path, trips: Iterable[Trip]) -> None:

@@ -11,7 +11,6 @@ across platforms; identical (spec, seed) inputs reproduce identical outputs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -19,9 +18,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .files import replaced, write_json
 from .geo import GeoPoint, HOURS_PER_WEEK, StateSpace, Tract, write_tracts
 from .hypotheses import CatalogConfig, HypothesisMatrix, WeightVector, build_mass, build_uniform
-from .ingest import TRIPS_HEADER, Trip, write_json
+from .ingest import TRIPS_HEADER, Trip
 
 KM_PER_DEGREE_LAT = 111.32
 BASE_MONDAY = datetime(2013, 1, 7)  # a Monday, so hour-of-week 0 maps to 00:xx
@@ -160,7 +160,7 @@ def hour_to_datetime(hour: int) -> datetime:
 
 
 def write_trips_file(path, trips: Sequence[Trip], space: StateSpace) -> None:
-    """Serialize trips in the raw record format that ingestion consumes.
+    """Serialize trips in the raw record format that ingestion consumes, whole or not at all.
 
     Endpoints are written as tract centroids, so cleaning locates every ride
     back to its original tract; odometer distance and duration are derived
@@ -168,8 +168,8 @@ def write_trips_file(path, trips: Sequence[Trip], space: StateSpace) -> None:
     """
     stamps = [hour_to_datetime(hour).isoformat() for hour in range(HOURS_PER_WEEK)]
     pairs: dict[tuple[int, int], str] = {}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(TRIPS_HEADER)
+    with replaced(path) as fh:
+        fh.write(",".join(TRIPS_HEADER) + "\r\n")
         for hour, pickup, dropoff in trips:
             if (pickup, dropoff) not in pairs:
                 a, b = space.tracts[pickup].centroid, space.tracts[dropoff].centroid
@@ -235,22 +235,17 @@ def build_demo_fixture(seed: int = 42) -> tuple[StateSpace, list[Trip], dict]:
 
 
 def write_demo_fixture(directory, seed: int = 42) -> dict:
-    """Write the demo city to disk: tracts, trips, manifest, and a config file."""
+    """Write the demo city to disk, each file whole or not at all: tracts, trips, manifest, cfg."""
     config = CatalogConfig()
     space, trips, manifest = build_demo_fixture(seed)
     write_tracts(directory / "tracts.csv", space, list(config.required_keys()))
     write_trips_file(directory / "trips.csv", trips, space)
     write_json(directory / "demo_manifest.json", manifest)
-    landmarks = demo_landmarks(space)
-    with open(directory / "demo.cfg", "w", encoding="utf-8") as fh:
+    with replaced(directory / "demo.cfg") as fh:
         fh.write("[paths]\n")  # '%' doubled: the loader's interpolation escape
         for key, name in (("tracts", "tracts.csv"), ("trips", "trips.csv"), ("output_dir", "out")):
             fh.write(f"{key} = {str(directory / name).replace('%', '%%')}\n")
-        fh.write("\n[pipeline]\n")
-        fh.write(f"seed = {seed}\n")
-        fh.write("r = 2\n")  # planted pattern + background
-        fh.write("n = 10\n")
-        fh.write("\n[catalog]\n")
-        fh.write("landmarks = " + "; ".join(
-            f"{name} {p.lat!r} {p.lon!r}" for name, p in landmarks) + "\n")
+        fh.write(f"\n[pipeline]\nseed = {seed}\nr = 2\nn = 10\n")  # r: planted + background
+        fh.write("\n[catalog]\nlandmarks = " + "; ".join(
+            f"{name} {p.lat!r} {p.lon!r}" for name, p in demo_landmarks(space)) + "\n")
     return manifest

@@ -18,8 +18,9 @@ from typing import Optional
 
 import numpy as np
 
+from .files import write_csv, write_json
 from .geo import HOURS_PER_WEEK
-from .ingest import TripRows, trip_rows, write_csv, write_json
+from .ingest import TripRows, trip_rows
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,8 @@ def save_factors(directory, f: FactorSet, *, seed: int,
 
 
 def load_factors(directory) -> FactorSet:
+    if not (directory / "factors_meta.json").is_file():  # written last: the set is whole
+        raise FileNotFoundError(f"factor files not found: {directory / 'factors_meta.json'}")
     matrices = {mode: np.loadtxt(directory / filename, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
                 for mode, filename in _MODE_FILES.items()}
     scale = np.loadtxt(directory / "factors_scale.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]

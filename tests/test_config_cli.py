@@ -36,7 +36,7 @@ class TestDefaults:
         assert cfg.r == 7
         assert cfg.n == 10
         assert cfg.k_grid == (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
-        assert cfg.sigma_grid == (0.01, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
+        assert cfg.catalog.sigma_grid == (0.01, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
         assert cfg.seed == 42
         assert cfg.exclude_self_loops is True
         assert cfg.max_iters == 500 and cfg.rel_tol == 1e-6 and cfg.epsilon == 1e-12
@@ -102,13 +102,13 @@ class TestConfigFile:
     @pytest.mark.parametrize("text, message", [
         ("[pipeline]\nk_grid =\n", "k_grid"),
         ("[pipeline]\nk_grid = 0 10 10\n", "k_grid"),
-        ("[pipeline]\nsigma_grid = 1 1\n", "sigma_grid"),
+        ("[catalog]\nsigma_grid = 1 1\n", "sigma_grid"),
         ("[catalog]\nsigma_grid = 2, 0.5, 2\n", "sigma_grid"),
         ("[pipeline]\nk_grid = 1 nan\n", "k values"),
         ("[catalog]\nsigma_grid = nan\n", "sigma values"),
         ("[pipeline]\nk_grid = 1 inf\n", "k values"),
         ("[catalog]\nsigma_grid = inf\n", "sigma values"),
-        ("[pipeline]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label"),
+        ("[catalog]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label"),
     ])
     def test_bad_grid_rejected(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
@@ -127,30 +127,31 @@ class TestConfigFile:
     def test_repeated_override_grid_rejected(self):
         with pytest.raises(ConfigError, match="k_grid"):
             load_config(k_grid=(10.0, 10.0))
-        with pytest.raises(ConfigError, match="sigma_grid"):
-            load_config(sigma_grid=(1.0, 1.0))
+        with pytest.raises(ConfigError, match="sigma_grid repeats"):
+            load_config(catalog=CatalogConfig(sigma_grid=(1.0, 1.0)))
 
-    @pytest.mark.parametrize("text, overrides, expected", [
-        ("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n", {}, (1.0, 2.0)),
-        ("[pipeline]\nsigma_grid = 1 2\n", {}, (1.0, 2.0)),
-        ("[catalog]\nsigma_grid = 3 4\n", {}, (3.0, 4.0)),
-        ("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n",
-         {"sigma_grid": (5.0,)}, (5.0,)),
-    ])
-    def test_sigma_grid_precedence(self, tmp_path, text, overrides, expected):
+    def test_sigma_grid_has_one_home(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
-        path.write_text(text, encoding="utf-8")
-        cfg = load_config(path, **overrides)
-        assert cfg.sigma_grid == cfg.catalog.sigma_grid == cfg.catalog_config().sigma_grid \
-            == expected
+        path.write_text("[catalog]\nsigma_grid = 3 4\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.catalog.sigma_grid == cfg.catalog_config().sigma_grid == (3.0, 4.0)
+        assert not hasattr(cfg, "sigma_grid")
+        path.write_text("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[pipeline\]: sigma_grid"):
+            load_config(path)
+        assert main(["synth", "--config", str(path), "--output-dir", str(tmp_path / "fix")]) == 2
+        assert "sigma_grid" in capsys.readouterr().err and not (tmp_path / "fix").exists()
+        with pytest.raises(ConfigError, match="unknown config override 'sigma_grid'"):
+            load_config(sigma_grid=(5.0,))
 
     def test_every_key_parsed(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
             "[paths]\ntracts = t.csv\ntrips = u.csv\noutput_dir = o\n"
-            "[pipeline]\nr = 3\nn = 4\nk_grid = 0, 2\nsigma_grid = 1 2\nseed = 9\n"
+            "[pipeline]\nr = 3\nn = 4\nk_grid = 0, 2\nseed = 9\n"
             "max_iters = 7\nrel_tol = 0.5\nepsilon = 1e-3\nexclude_self_loops = off\n"
-            "[catalog]\nlandmarks = a 1 2; b 3 4\nsigma_grid = 5\nall_venues_key = v\n"
+            "[catalog]\nlandmarks = a 1 2; b 3 4\nsigma_grid = 1 2\nall_venues_key = v\n"
             "checkins_key = c\nvenue_category_keys = a, b\ncensus_indicator_keys = c d\n"
             "race_keys = e\npoverty_keys = f\nemployment_keys = g\nio_eps = 0.1\n"
             "unweighted_opportunities = yes\n", encoding="utf-8")

@@ -4,13 +4,15 @@ import math
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tripflow.geo import GeoPoint, hour_of_week
+from tripflow.files import write_csv, write_json
+from tripflow.geo import GeoPoint, hour_of_week, write_tracts
 from tripflow.ingest import (
     RAW_TRIP,
     TRIPS_HEADER,
@@ -20,10 +22,8 @@ from tripflow.ingest import (
     load_clean_trips,
     transition_counts,
     write_clean_trips,
-    write_csv,
-    write_json,
 )
-from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
+from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space, write_trips_file
 
 from conftest import scalar_locate
 
@@ -155,7 +155,13 @@ class TestTripFiles:
         (lambda path, rows: write_csv(path, Trip._fields, rows), _disk_full_midway, "disk full"),
         (write_json, lambda: [[i % 168, 1, 2] for i in range(50_000)] + [object()],
          "not JSON serializable"),
-    ], ids=["write_clean_trips", "write_csv", "write_json"])
+        # one tract row per trip row, so the tracts run out of disk where the trips do
+        (lambda path, rows: write_tracts(
+            path, SimpleNamespace(tracts=(DIRTY_SPACE.tracts[0] for _ in rows)), []),
+         _disk_full_midway, "disk full"),
+        (lambda path, rows: write_trips_file(path, rows, DIRTY_SPACE), _disk_full_midway,
+         "disk full"),
+    ], ids=["write_clean_trips", "write_csv", "write_json", "write_tracts", "write_trips_file"])
     def test_written_whole_or_not_at_all(self, tmp_path, write, payload, error):
         path = tmp_path / "artifact"
         write(path, [Trip(9, 3, 7)])
@@ -338,15 +344,14 @@ def test_huge_passenger_counts_keep_their_sign(tmp_path):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tripflow"
-# Fixture writers below ingest in the import order, and the path-bearing demo config.
-FIXTURE_WRITES = {("geo", "write_tracts", "path"), ("synth", "write_trips_file", "path"),
-                  ("synth", "write_demo_fixture", "directory / 'demo.cfg'")}
 
 
 def _file_writes(module: str, tree: ast.Module):
-    """(module, function, target) of each write-mode open, path-taking np.savetxt or os.replace.
+    """(module, function, target) of each raw file write in the functions of ``tree``.
 
-    A savetxt into the handle of a ``with replaced(...) as fh`` block takes no path.
+    A raw write is a write-mode open, a path-taking np.savetxt, an os.replace or a
+    ``.write_text``/``.write_bytes`` call. A savetxt into the handle of a
+    ``with replaced(...) as fh`` block takes no path.
     """
     for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
         handles = {item.optional_vars.id for node in ast.walk(func) if isinstance(node, ast.With)
@@ -355,13 +360,28 @@ def _file_writes(module: str, tree: ast.Module):
         for call in (node for node in ast.walk(func) if isinstance(node, ast.Call)):
             name, target = ast.unparse(call.func), ast.unparse(call.args[0]) if call.args else ""
             modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
-            if (name == "open" and any(set(ast.literal_eval(m)) & set("wax+") for m in modes)
+            if name.endswith((".write_text", ".write_bytes")):
+                yield module, func.name, name.rsplit(".", 1)[0]
+            elif (name == "open" and any(set(ast.literal_eval(m)) & set("wax+") for m in modes)
                     or name == "np.savetxt" and target not in handles or name == "os.replace"):
                 yield module, func.name, target
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def f(p):\n    open(p, 'w')\n", True),
+    ("def f(p):\n    open(p, mode='a')\n", True),
+    ("def f(p):\n    open(p)\n", False),
+    ("def f(p, x):\n    np.savetxt(p, x)\n", True),
+    ("def f(p, x):\n    with replaced(p) as fh:\n        np.savetxt(fh, x)\n", False),
+    ("def f(p, q):\n    os.replace(p, q)\n", True),
+    ("def f(p):\n    p.write_text('x')\n", True),
+    ("def f(d):\n    (d / 'a').write_bytes(b'x')\n", True),
+])
+def test_file_write_walker(source, flagged):
+    assert bool(list(_file_writes("m", ast.parse(source)))) is flagged
 
 
 def test_every_artifact_written_through_replaced():
     writes = {w for path in sorted(SRC.glob("*.py"))
               for w in _file_writes(path.stem, ast.parse(path.read_text(encoding="utf-8")))}
-    assert {("ingest", "replaced", "partial")} <= writes  # its open and os.replace are seen
-    assert writes - {("ingest", "replaced", "partial")} - FIXTURE_WRITES == set()
+    assert writes == {("files", "replaced", "partial")}  # its open and os.replace, no other

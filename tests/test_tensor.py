@@ -158,6 +158,16 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(loaded.scale, f.scale)
 
 
+def test_load_without_meta_sidecar_fails(tmp_path):
+    """Mode and scale files without the sidecar ``save_factors`` writes last are no factor set."""
+    x, _ = rank1_tensor()
+    f, trace = ntf_decompose(x, 2, NtfOptions(seed=5, max_iters=30))
+    save_factors(tmp_path, f, seed=5, trace=trace)
+    (tmp_path / "factors_meta.json").unlink()
+    with pytest.raises(FileNotFoundError, match="factor files not found: .*factors_meta.json"):
+        load_factors(tmp_path)
+
+
 def random_coo(dims, nnz, r, seed):
     """Random sorted unique COO tensor with positive values, random factors and scale.
 

@@ -130,16 +130,28 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="sigma_grid repeats"):
             load_config(catalog=CatalogConfig(sigma_grid=(1.0, 1.0)))
 
+    @pytest.mark.parametrize("text, overrides, expected", [
+        ("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n", {},
+         r"unknown key\(s\) in \[pipeline\]: sigma_grid"),
+        ("[pipeline]\nsigma_grid = 1 2\n", {}, r"unknown key\(s\) in \[pipeline\]: sigma_grid"),
+        ("[catalog]\nsigma_grid = 3 4\n", {}, (3.0, 4.0)),
+        ("[catalog]\nsigma_grid = 3\n", {"catalog": CatalogConfig(sigma_grid=(5.0,))}, (5.0,)),
+    ])
+    def test_sigma_grid_precedence(self, tmp_path, text, overrides, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError, match=expected):
+                load_config(path, **overrides)
+            return
+        cfg = load_config(path, **overrides)
+        assert cfg.catalog.sigma_grid == cfg.catalog_config().sigma_grid == expected
+
     def test_sigma_grid_has_one_home(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
-        path.write_text("[catalog]\nsigma_grid = 3 4\n", encoding="utf-8")
-        cfg = load_config(path)
-        assert cfg.catalog.sigma_grid == cfg.catalog_config().sigma_grid == (3.0, 4.0)
-        assert not hasattr(cfg, "sigma_grid")
         path.write_text("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n",
                         encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[pipeline\]: sigma_grid"):
-            load_config(path)
+        assert not hasattr(load_config(), "sigma_grid")
         assert main(["synth", "--config", str(path), "--output-dir", str(tmp_path / "fix")]) == 2
         assert "sigma_grid" in capsys.readouterr().err and not (tmp_path / "fix").exists()
         with pytest.raises(ConfigError, match="unknown config override 'sigma_grid'"):

@@ -235,9 +235,13 @@ def build_demo_fixture(seed: int = 42) -> tuple[StateSpace, list[Trip], dict]:
 
 
 def write_demo_fixture(directory, seed: int = 42) -> dict:
-    """Write the demo city to disk, each file whole or not at all: tracts, trips, manifest, cfg."""
+    """Write the demo city to disk, each file whole or not at all: tracts, trips, manifest, cfg.
+
+    ``demo.cfg`` is removed first and written last, so it marks the set whole.
+    """
     config = CatalogConfig()
     space, trips, manifest = build_demo_fixture(seed)
+    (directory / "demo.cfg").unlink(missing_ok=True)
     write_tracts(directory / "tracts.csv", space, list(config.required_keys()))
     write_trips_file(directory / "trips.csv", trips, space)
     write_json(directory / "demo_manifest.json", manifest)

@@ -7,8 +7,8 @@ component is one spatio-temporal mobility cluster.
 
 Storage is sparse (coordinate list, the COO layout of Bader & Kolda 2007):
 real trip tensors are mostly empty and synthetic test fixtures stay instant.
-Dense slices are materialized only hour-by-hour while evaluating the
-reconstruction error.
+Dense slices are materialized only while evaluating the reconstruction
+error, in blocks of whole hours of at most 2^16 cells.
 """
 
 from __future__ import annotations
@@ -121,11 +121,12 @@ class DecompositionTrace:
 
 
 def _mttkrp(coords, vals, factors, mode, dims):
-    """Matricized-tensor-times-Khatri-Rao product for one mode, from sparse coords."""
+    """Matricized-tensor-times-Khatri-Rao product for one mode: a ``bincount`` per component."""
     a, b = (m for m in range(3) if m != mode)
-    contrib = vals[:, None] * factors[a][coords[a]] * factors[b][coords[b]]
-    return np.column_stack([np.bincount(coords[mode], weights=column, minlength=dims[mode])
-                            for column in contrib.T])
+    return np.column_stack([
+        np.bincount(coords[mode], weights=vals * fa.take(coords[a]) * fb.take(coords[b]),
+                    minlength=dims[mode])
+        for fa, fb in zip(factors[a].T, factors[b].T)])
 
 
 def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,22 +144,29 @@ def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normalized, norms
 
 
+_BLOCK_CELLS = 2 ** 16  # dense residual cells per block of hours: 512 KB, about L2-sized
+
+
 def _error_from_slices(coords, vals, dims, factors, scale) -> float:
     """Exact Frobenius reconstruction error, accumulated hour slice by hour slice.
 
     Each hour's dense model slice, minus that hour's entries in place, is the
     residual; its squared sum is cancellation-free, so the recorded objective
     trace stays monotone to within float noise that shrinks with the error.
+    Hours go in blocks of at most ``_BLOCK_CELLS`` cells, each hour still summed on its own.
     """
     hours, pickups, dropoffs = coords  # sorted by hour and unique, as MobilityTensor keeps them
     tfac, pfac, dfac = factors
-    boundaries = np.searchsorted(hours, np.arange(dims[0] + 1))
+    step = max(1, _BLOCK_CELLS // (dims[1] * dims[2]))
+    boundaries = np.searchsorted(hours, np.arange(0, dims[0] + step, step))
     err2 = 0.0
-    for h in range(dims[0]):
-        residual = (pfac * (scale * tfac[h])) @ dfac.T
-        lo, hi = boundaries[h], boundaries[h + 1]
-        residual[pickups[lo:hi], dropoffs[lo:hi]] -= vals[lo:hi]
-        err2 += float((residual ** 2).sum())
+    for i, h0 in enumerate(range(0, dims[0], step)):
+        block = np.matmul(pfac[None] * (scale * tfac[h0:h0 + step])[:, None, :], dfac.T)
+        lo, hi = boundaries[i], boundaries[i + 1]
+        block[hours[lo:hi] - h0, pickups[lo:hi], dropoffs[lo:hi]] -= vals[lo:hi]
+        np.square(block, out=block)
+        for hour_err2 in block.reshape(len(block), -1).sum(axis=1).tolist():
+            err2 += hour_err2  # one add per hour, in order: builtin sum() compensates on 3.12+
     return float(np.sqrt(max(err2, 0.0)))
 
 
@@ -166,8 +174,8 @@ def reconstruction_error(x: MobilityTensor, f: FactorSet) -> float:
     """Frobenius norm of the difference between the tensor and its CP model."""
     if (x.dims[0], x.dims[1], x.dims[2]) != (f.time.shape[0], f.pickup.shape[0], f.dropoff.shape[0]):
         raise ValueError(f"tensor dims {x.dims} do not match factor shapes")
-    *coords, vals = x.coords()
-    return _error_from_slices(coords, vals, x.dims, (f.time, f.pickup, f.dropoff), f.scale)
+    return _error_from_slices(x.entries.T.copy(), x.values, x.dims,
+                              (f.time, f.pickup, f.dropoff), f.scale)
 
 
 def ntf_decompose(x: MobilityTensor, r: int,
@@ -193,7 +201,7 @@ def ntf_decompose(x: MobilityTensor, r: int,
         raise ValueError("degenerate input: tensor has no nonzero entries")
 
     dims = x.dims
-    *coords, vals = x.coords()
+    coords, vals = x.entries.T.copy(), x.values  # contiguous coordinate columns
 
     rng = np.random.default_rng(opts.seed)
     factors = []
@@ -240,7 +248,7 @@ _MODE_FILES = {"time": "factors_time.csv", "pickup": "factors_pickup.csv",
 
 def save_factors(directory, f: FactorSet, *, seed: int,
                  trace: Optional[DecompositionTrace] = None) -> None:
-    """Write one CSV per mode, the scale vector, and last the sidecar that marks the set whole."""
+    """Write each mode's CSV, the scale, the error trace, then the sidecar marking the set whole."""
     (directory / "factors_meta.json").unlink(missing_ok=True)
     for mode, filename in _MODE_FILES.items():
         write_csv(directory / filename, ["index", *(f"c{c}" for c in range(f.r))],
@@ -248,7 +256,11 @@ def save_factors(directory, f: FactorSet, *, seed: int,
     write_csv(directory / "factors_scale.csv", ["component", "scale"],
               ([c, repr(s)] for c, s in enumerate(f.scale.tolist())))
     meta = {"r": f.r, "seed": seed}
-    if trace is not None:
+    if trace is None:
+        (directory / "factors_trace.csv").unlink(missing_ok=True)  # no stale trace in the set
+    else:
+        write_csv(directory / "factors_trace.csv", ["sweep", "error"],
+                  enumerate(map(repr, trace.errors)))  # sweep 0: the random initialization
         meta.update({
             "iterations": trace.iterations,
             "final_error": trace.errors[-1],

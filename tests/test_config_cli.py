@@ -210,8 +210,8 @@ class TestCli:
         assert code == 0
         out = mini_fixture / "out"
         for name in ("trips_clean.csv", "ingest_summary.json", "factors_meta.json",
-                     "overall_counts.csv", "cluster_0_membership.csv", "cluster_1_counts.csv",
-                     "catalog_manifest.csv", "rankings.csv"):
+                     "factors_trace.csv", "overall_counts.csv", "cluster_0_membership.csv",
+                     "cluster_1_counts.csv", "catalog_manifest.csv", "rankings.csv"):
             assert (out / name).is_file(), name
         assert "rank: ok" in capsys.readouterr().out
 

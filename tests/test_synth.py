@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+from tripflow import synth
+from tripflow.cli import main
 from tripflow.geo import hour_of_week, load_tracts
 from tripflow.hypotheses import HypothesisMatrix, build_uniform
 from tripflow.ingest import TRIPS_HEADER, Trip, clean_trips, load_raw_trips
@@ -231,3 +233,16 @@ class TestDemoFixture:
         write_demo_fixture(tmp_path, seed=42)
         for name in ("tracts.csv", "trips.csv", "demo_manifest.json", "demo.cfg"):
             assert (tmp_path / name).is_file()
+
+    def test_failed_rewrite_leaves_no_config(self, tmp_path, monkeypatch, capsys):
+        write_demo_fixture(tmp_path, seed=1)
+
+        def disk_full(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(synth, "write_trips_file", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            write_demo_fixture(tmp_path, seed=2)
+        assert not (tmp_path / "demo.cfg").exists()  # seed 2's tracts beside seed 1's trips
+        assert main(["ingest", "--config", str(tmp_path / "demo.cfg")]) == 2
+        assert "config file not found" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,29 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(loaded.scale, f.scale)
 
 
+def test_trace_written_before_meta_sidecar(tmp_path, monkeypatch):
+    """``factors_trace.csv`` holds every sweep's error, bit for bit, and belongs to the set."""
+    x, _ = rank1_tensor()
+    f, trace = ntf_decompose(x, 2, NtfOptions(seed=5, max_iters=30))
+    save_factors(tmp_path, f, seed=5, trace=trace)
+    with open(tmp_path / "factors_trace.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["sweep", "error"]
+    assert [int(s) for s, _ in rows[1:]] == list(range(trace.iterations + 1))
+    assert [float(e) for _, e in rows[1:]] == trace.errors
+    save_factors(tmp_path, f, seed=5)  # a set saved without a trace keeps no stale one
+    assert not (tmp_path / "factors_trace.csv").exists()
+
+    def interrupted(path, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tensor, "write_json", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        save_factors(tmp_path, f, seed=5, trace=trace)
+    assert (tmp_path / "factors_trace.csv").is_file()
+    assert not (tmp_path / "factors_meta.json").exists()
+
+
 def test_load_without_meta_sidecar_fails(tmp_path):
     """Mode and scale files without the sidecar ``save_factors`` writes last are no factor set."""
     x, _ = rank1_tensor()
@@ -183,9 +208,12 @@ def random_coo(dims, nnz, r, seed):
     return x, factors, rng.uniform(0.5, 50.0, r)
 
 
-# (dims, nnz, r, seed); every case but the last leaves hour 0 without entries
+# (dims, nnz, r, seed); every case but ((3, 2, 2), 12, 2, 4), which fills its tensor, leaves
+# hour 0 without entries. The slice error evaluates hours in blocks of 2**16 cells:
+# (168, 30, 30) splits them into 72 + 72 + 24 hours, and at (3, 260, 260) a block is one hour.
 KERNEL_CASES = [((4, 3, 3), 1, 1, 0), ((6, 4, 5), 10, 1, 1), ((6, 4, 5), 30, 3, 2),
-                ((168, 5, 5), 200, 4, 3), ((3, 2, 2), 12, 2, 4)]
+                ((168, 5, 5), 200, 4, 3), ((3, 2, 2), 12, 2, 4),
+                ((168, 30, 30), 3000, 3, 5), ((3, 260, 260), 800, 2, 6)]
 
 
 class TestKernelsMatchOracles:
@@ -205,6 +233,32 @@ class TestKernelsMatchOracles:
         assert (0 in coords[0]) == (nnz == np.prod(dims))
         assert tensor._error_from_slices(coords, vals, dims, factors, scale) == \
             dense_slice_error(coords, vals, dims, factors, scale)
+
+    @pytest.mark.parametrize("dims, nnz, r, seed", KERNEL_CASES)
+    def test_kernels_on_contiguous_coords(self, dims, nnz, r, seed):
+        """The contiguous coordinate columns ``ntf_decompose`` passes give the oracles' bits."""
+        x, factors, scale = random_coo(dims, nnz, r, seed)
+        *views, vals = x.coords()
+        coords = x.entries.T.copy()
+        assert views[0].strides == (3 * views[0].itemsize,) and coords[0].flags.c_contiguous
+        for mode in range(3):
+            assert np.array_equal(tensor._mttkrp(coords, vals, factors, mode, dims),
+                                  addat_mttkrp(views, vals, factors, mode, dims))
+        assert tensor._error_from_slices(coords, vals, dims, factors, scale) == \
+            dense_slice_error(views, vals, dims, factors, scale)
+
+    def test_decompose_matches_oracle_at_city_size(self, city_space):
+        """288 tracts: the slice error evaluates one hour per block, as on the ``city`` bench."""
+        rng = np.random.default_rng(11)
+        trips = np.column_stack([rng.integers(0, 168, 20_000),
+                                 rng.integers(0, len(city_space), (20_000, 2))])
+        x = build_tensor(trips, len(city_space))
+        opts = NtfOptions(seed=3, max_iters=3, rel_tol=1e-12)
+        f, trace = ntf_decompose(x, 4, opts)
+        factors, scale, errors = oracle_decompose(x, 4, opts)
+        for mine, theirs in zip((*f.factors(), f.scale), (*factors, scale)):
+            assert np.array_equal(mine, theirs)
+        assert trace.errors == errors and len(errors) == 4
 
     def test_decompose_with_oracle_kernels(self, monkeypatch):
         x, _ = planted_rank3()

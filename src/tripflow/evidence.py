@@ -61,6 +61,10 @@ def _check_k(k: float, size: int) -> None:
         raise ValueError(f"k must be finite and >= 0 with k * |S| finite, got k={k!r}")
 
 
+def _elicited(k: float, size: int, beliefs: np.ndarray) -> np.ndarray:
+    return 1.0 + k * size * beliefs  # the one home of the elicitation rule's arithmetic
+
+
 def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     """Elicit Dirichlet pseudo-counts from a belief matrix at concentration k.
 
@@ -68,7 +72,7 @@ def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     the prior stays proper. k = 0 yields alpha identically 1.
     """
     _check_k(k, q.q.shape[0])
-    return PriorMatrix(alpha=1.0 + k * q.q.shape[0] * _row_normalized(q.q), k=k)
+    return PriorMatrix(alpha=_elicited(k, q.q.shape[0], _row_normalized(q.q)), k=k)
 
 
 def _log_evidence(row_alpha: np.ndarray, row_counts: np.ndarray,
@@ -127,11 +131,11 @@ def k_sweep(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
     hypotheses = 0
     for h in catalog:  # alpha as in elicit_prior: its row sums, and its cells where n > 0
         beliefs = _row_normalized(_check_shape(h, shape).q)
-        row_alpha = [(1.0 + k * size * beliefs).sum(axis=1) for k in ks]
+        row_alpha = [_elicited(k, size, beliefs).sum(axis=1) for k in ks]
         for (totals, cells, cell_counts), at_set in zip(sets, scored):
             at_cells = beliefs.take(cells)
             for k, rows, at_k in zip(ks, row_alpha, at_set):
-                at_k.append((h.name, _log_evidence(rows, totals, 1.0 + k * size * at_cells,
+                at_k.append((h.name, _log_evidence(rows, totals, _elicited(k, size, at_cells),
                                                    cell_counts)))
         hypotheses += 1
     if not hypotheses:

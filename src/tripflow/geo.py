@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,27 +40,18 @@ class GeoPoint:
 
 @dataclass(frozen=True)
 class Tract:
-    """One discrete state: identifier, centroid, area, optional ring, indicators.
-
-    ``properties`` maps indicator names (venue counts, check-ins, census
-    figures) to non-negative reals; hypothesis builders look weights up here.
-    """
+    """One discrete state's geometry: identifier, centroid, area, optional ring."""
 
     id: str
-    index: int
     centroid: GeoPoint
     area: float
     polygon: Optional[tuple[GeoPoint, ...]] = None
-    properties: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.area <= 0 or not math.isfinite(self.area):
             raise ValueError(f"tract {self.id!r}: area must be finite and > 0")
         if self.polygon is not None and len(self.polygon) < 3:
             raise ValueError(f"tract {self.id!r}: polygon needs >= 3 vertices")
-        for key, value in self.properties.items():
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"tract {self.id!r}: property {key!r} must be finite and >= 0")
 
 
 def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -106,54 +97,61 @@ def _in_ring(lat: np.ndarray, lon: np.ndarray, ring: list[tuple[float, float]]) 
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Ordered tract set with a precomputed centroid-to-centroid distance matrix.
+    """Ordered tract set with its indicator table and centroid-to-centroid distances.
 
-    ``distances`` is symmetric, zero on the diagonal, and floored at
-    ``MIN_DISTANCE_KM`` off-diagonal so the inverse-distance hypothesis
-    formulas stay finite even for coincident centroids.
+    A tract's index is its place in ``tracts``. ``properties`` maps each indicator
+    name to one read-only column of non-negative reals in that order. ``distances``
+    is symmetric, zero on the diagonal, and floored at ``MIN_DISTANCE_KM``
+    off-diagonal so the inverse-distance hypothesis formulas stay finite even for
+    coincident centroids.
     """
 
     tracts: tuple[Tract, ...]
     distances: np.ndarray
+    properties: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if [t.index for t in self.tracts] != list(range(len(self.tracts))):
-            raise ValueError("tracts must be ordered by index 0..|S|-1")
         n = len(self.tracts)
         if self.distances.shape != (n, n):
             raise ValueError("distance matrix shape does not match tract count")
-        if n:
-            if np.diagonal(self.distances).any():
-                raise ValueError("distance diagonal must be zero")
-            if not np.array_equal(self.distances, self.distances.T):
-                raise ValueError("distance matrix must be symmetric")
-            off = ~np.eye(n, dtype=bool)
-            if n > 1 and (self.distances[off] < MIN_DISTANCE_KM).any():
-                raise ValueError(f"off-diagonal distances must be >= {MIN_DISTANCE_KM} km")
+        if np.diagonal(self.distances).any():
+            raise ValueError("distance diagonal must be zero")
+        if not np.array_equal(self.distances, self.distances.T):
+            raise ValueError("distance matrix must be symmetric")
+        if (self.distances[~np.eye(n, dtype=bool)] < MIN_DISTANCE_KM).any():
+            raise ValueError(f"off-diagonal distances must be >= {MIN_DISTANCE_KM} km")
         self.distances.setflags(write=False)
+        for key, column in self.properties.items():
+            ok = np.isfinite(column) & (column >= 0)
+            if column.shape != (n,) or not ok.all():
+                where = f"tract {self.tracts[int(ok.argmin())].id!r}: " if ok.shape == (n,) else ""
+                raise ValueError(f"{where}property {key!r} must hold one finite value >= 0 "
+                                 "per tract")
+            column.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.tracts)
 
     @classmethod
-    def from_tracts(cls, tracts: Sequence[Tract]) -> "StateSpace":
-        ordered = tuple(sorted(tracts, key=lambda t: t.index))
-        n = len(ordered)
-        lat, lon = np.array([(t.centroid.lat, t.centroid.lon) for t in ordered]).reshape(-1, 2).T
+    def from_tracts(cls, tracts: Iterable[Tract],
+                    properties: Optional[Mapping[str, Sequence[float]]] = None) -> "StateSpace":
+        """The space of ``tracts`` in their order; ``tract_area`` is their areas unless given."""
+        tracts = tuple(tracts)
+        n = len(tracts)
+        table = {key: np.array(column, dtype=float) for key, column in (properties or {}).items()}
+        table.setdefault("tract_area", np.array([t.area for t in tracts], dtype=float))
+        lat, lon = np.array([(t.centroid.lat, t.centroid.lon) for t in tracts]).reshape(-1, 2).T
         i, j = np.triu_indices(n, 1)
         dist = np.zeros((n, n))
         dist[i, j] = dist[j, i] = np.maximum(haversine_km(lat[i], lon[i], lat[j], lon[j]),
                                              MIN_DISTANCE_KM)
-        return cls(tracts=ordered, distances=dist)
+        return cls(tracts=tracts, distances=dist, properties=table)
 
     def property_vector(self, key: str) -> np.ndarray:
-        """Per-tract values of one named indicator, in index order."""
-        values = np.empty(len(self.tracts))
-        for t in self.tracts:
-            if key not in t.properties:
-                raise KeyError(f"tract {t.id!r} has no property {key!r}")
-            values[t.index] = t.properties[key]
-        return values
+        """Per-tract values of one named indicator, in index order (read-only)."""
+        if key not in self.properties:
+            raise KeyError(f"no property {key!r}")
+        return self.properties[key]
 
 
 def locate(points, space: StateSpace) -> np.ndarray:
@@ -169,15 +167,15 @@ def locate(points, space: StateSpace) -> np.ndarray:
     lat, lon = points.T
     if not any(t.polygon is not None for t in space.tracts):
         best, best_d = np.zeros(len(points), dtype=np.int64), np.full(len(points), math.inf)
-        for t in space.tracts:
+        for index, t in enumerate(space.tracts):
             d = haversine_km(lat, lon, t.centroid.lat, t.centroid.lon)
             closer = d < best_d
-            best[closer], best_d[closer] = t.index, d[closer]
+            best[closer], best_d[closer] = index, d[closer]
         return best
     found = np.full(len(points), -1, dtype=np.int64)
     by_lat = np.argsort(lat, kind="stable")
     sorted_lat = lat[by_lat]
-    for t in space.tracts:  # index order: a point keeps its first, lowest-index hit
+    for index, t in enumerate(space.tracts):  # a point keeps its first, lowest-index hit
         if t.polygon is not None:
             # Outside the ring's bounding box widened by the tolerance, a point is on
             # no edge and crosses an even number of them.
@@ -185,62 +183,65 @@ def locate(points, space: StateSpace) -> np.ndarray:
             lo, hi = np.min(ring, axis=0) - _EDGE_EPS, np.max(ring, axis=0) + _EDGE_EPS
             band = by_lat[sorted_lat.searchsorted(lo[0]):sorted_lat.searchsorted(hi[0], "right")]
             near = band[(found[band] < 0) & (lon[band] >= lo[1]) & (lon[band] <= hi[1])]
-            found[near[_in_ring(lat[near], lon[near], ring)]] = t.index
+            found[near[_in_ring(lat[near], lon[near], ring)]] = index
     return found
 
 
 def _parse_polygon(text: str) -> Optional[tuple[GeoPoint, ...]]:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return None
-    points = []
-    for pair in text.split(";"):
-        lat_s, lon_s = pair.strip().split()
-        points.append(GeoPoint(float(lat_s), float(lon_s)))
-    return tuple(points)
+    return tuple(GeoPoint(float(lat), float(lon)) for lat, lon in map(str.split, text.split(";")))
+
+
+def _cell(path, row: dict, key: str, parse=float):
+    """``parse`` of one tracts-file cell; one it cannot read is named by path, tract and column."""
+    try:
+        return parse(row[key])
+    except ValueError as exc:
+        raise ValueError(f"{path}: tract {row['tract_id']!r}, column {key!r}: {exc}") from None
 
 
 def load_tracts(path) -> StateSpace:
     """Read a tracts CSV into a StateSpace.
 
     Expected header: ``tract_id, lat, lon, area_sqkm, polygon`` followed by
-    zero or more numeric property columns whose names become property keys.
-    The polygon cell may be empty; when present it is semicolon-separated
-    ``lat lon`` pairs. A ``tract_area`` property mirroring ``area_sqkm`` is
-    injected when the file does not carry one, so area can serve as a weight.
-    A repeated ``tract_id`` is rejected.
+    zero or more numeric property columns whose names become property keys;
+    columns with an empty name are ignored. The polygon cell may be empty;
+    when present it is semicolon-separated ``lat lon`` pairs. A repeated
+    header name, a repeated ``tract_id`` and a missing, empty or non-numeric
+    cell are rejected by name.
     """
     reserved = ("tract_id", "lat", "lon", "area_sqkm", "polygon")
-    tracts = []
-    seen: set[str] = set()
+    tracts: dict[str, Tract] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or reader.fieldnames[:5] != list(reserved):
             raise ValueError(f"{path}: expected header starting with {', '.join(reserved)}")
-        property_keys = [c for c in reader.fieldnames[5:] if c]
-        for index, row in enumerate(reader):
-            if row["tract_id"] in seen:
+        names = [c for c in reader.fieldnames if c]
+        repeated = [c for i, c in enumerate(names) if c in names[:i]]
+        if repeated:
+            raise ValueError(f"{path}: repeated column name {repeated[0]!r} in header")
+        columns: dict[str, list[float]] = {key: [] for key in names[5:]}
+        for row in reader:
+            if row["tract_id"] in tracts:
                 raise ValueError(f"{path}: duplicate tract_id {row['tract_id']!r}")
-            seen.add(row["tract_id"])
-            props = {key: float(row[key]) for key in property_keys}
-            area = float(row["area_sqkm"])
-            props.setdefault("tract_area", area)
-            tracts.append(Tract(
+            for key, column in columns.items():
+                column.append(_cell(path, row, key))
+            tracts[row["tract_id"]] = Tract(
                 id=row["tract_id"],
-                index=index,
-                centroid=GeoPoint(float(row["lat"]), float(row["lon"])),
-                area=area,
-                polygon=_parse_polygon(row.get("polygon") or ""),
-                properties=props,
-            ))
+                centroid=GeoPoint(_cell(path, row, "lat"), _cell(path, row, "lon")),
+                area=_cell(path, row, "area_sqkm"),
+                polygon=_cell(path, row, "polygon", _parse_polygon),
+            )
     if not tracts:
         raise ValueError(f"{path}: no tracts")
-    return StateSpace.from_tracts(tracts)
+    return StateSpace.from_tracts(tracts.values(), columns)
 
 
 def write_tracts(path, space: StateSpace, property_keys: Sequence[str]) -> None:
     """Write a StateSpace back to the tracts CSV format, whole or not at all."""
+    columns = [space.property_vector(key).tolist() for key in property_keys]
     write_csv(path, ["tract_id", "lat", "lon", "area_sqkm", "polygon", *property_keys],
               ([t.id, repr(t.centroid.lat), repr(t.centroid.lon), repr(t.area),
                 ";".join(f"{p.lat!r} {p.lon!r}" for p in t.polygon) if t.polygon else "",
-                *(repr(t.properties[k]) for k in property_keys)] for t in space.tracts))
+                *(repr(column[i]) for column in columns)] for i, t in enumerate(space.tracts)))

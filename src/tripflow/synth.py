@@ -64,27 +64,21 @@ def generate_state_space(grid: GridSpec, recipe: PropertyRecipe, seed: int) -> S
     n = grid.rows * grid.cols
     table = {key: rng.uniform(recipe.low, recipe.high, size=n) for key in recipe.keys}
     for key, cells in recipe.overrides.items():
-        for index, value in cells.items():
-            table[key][index] = value
+        table[key][list(cells)] = list(cells.values())
 
     tracts = []
-    for row in range(grid.rows):
-        for col in range(grid.cols):
-            index = row * grid.cols + col
-            south, west = grid.origin.lat + row * dlat, grid.origin.lon + col * dlon
-            north, east = south + dlat, west + dlon
-            props = {key: float(table[key][index]) for key in recipe.keys}
-            props.setdefault("tract_area", grid.spacing_km ** 2)
-            tracts.append(Tract(
-                id=f"T{index:04d}",
-                index=index,
-                centroid=GeoPoint(south + dlat / 2.0, west + dlon / 2.0),
-                area=grid.spacing_km ** 2,
-                polygon=(GeoPoint(south, west), GeoPoint(south, east),
-                         GeoPoint(north, east), GeoPoint(north, west)),
-                properties=props,
-            ))
-    return StateSpace.from_tracts(tracts)
+    for index in range(n):
+        row, col = divmod(index, grid.cols)
+        south, west = grid.origin.lat + row * dlat, grid.origin.lon + col * dlon
+        north, east = south + dlat, west + dlon
+        tracts.append(Tract(
+            id=f"T{index:04d}",
+            centroid=GeoPoint(south + dlat / 2.0, west + dlon / 2.0),
+            area=grid.spacing_km ** 2,
+            polygon=(GeoPoint(south, west), GeoPoint(south, east),
+                     GeoPoint(north, east), GeoPoint(north, west)),
+        ))
+    return StateSpace.from_tracts(tracts, table)
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,16 @@ from tripflow.tensor import FactorSet, MobilityTensor, _normalize_columns
 
 
 def make_space(distances, properties=None) -> StateSpace:
-    """State space with an explicit distance matrix and throwaway geometry.
+    """State space with an explicit distance matrix, throwaway geometry and property columns.
 
     Lets tests pin exact distances (collinear layouts, dist == 1 everywhere)
     without reverse-engineering coordinates.
     """
     distances = np.asarray(distances, dtype=float)
-    n = distances.shape[0]
-    tracts = tuple(
-        Tract(id=f"T{i}", index=i, centroid=GeoPoint(0.0, i * 0.01), area=1.0,
-              properties=dict(properties[i]) if properties else {})
-        for i in range(n)
-    )
-    return StateSpace(tracts=tracts, distances=distances)
+    tracts = tuple(Tract(id=f"T{i}", centroid=GeoPoint(0.0, i * 0.01), area=1.0)
+                   for i in range(distances.shape[0]))
+    columns = {key: np.array(column, dtype=float) for key, column in (properties or {}).items()}
+    return StateSpace(tracts=tracts, distances=distances, properties=columns)
 
 
 @pytest.fixture(scope="session")
@@ -142,15 +139,15 @@ def point_in_polygon(p: GeoPoint, ring: Sequence[GeoPoint]) -> bool:
 def scalar_locate(p: GeoPoint, space: StateSpace) -> Optional[int]:
     """Lowest-index ring containing ``p`` (None if none), or the nearest centroid."""
     if any(t.polygon is not None for t in space.tracts):
-        for t in space.tracts:
+        for index, t in enumerate(space.tracts):
             if t.polygon is not None and point_in_polygon(p, t.polygon):
-                return t.index
+                return index
         return None
     best, best_d = 0, math.inf
-    for t in space.tracts:
+    for index, t in enumerate(space.tracts):
         d = scalar_haversine(p, t.centroid)
         if d < best_d:
-            best, best_d = t.index, d
+            best, best_d = index, d
     return best
 
 

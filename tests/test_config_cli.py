@@ -187,7 +187,7 @@ class TestConfigFile:
 def mini_fixture(tmp_path_factory, grid_space):
     """Small end-to-end fixture: 20 tracts, 2000 uniform trips, local landmarks."""
     root = tmp_path_factory.mktemp("mini")
-    keys = sorted(grid_space.tracts[0].properties)
+    keys = sorted(grid_space.properties)
     write_tracts(root / "tracts.csv", grid_space, keys)
     trips = generate_from_hypothesis(
         build_uniform(len(grid_space)), np.ones(len(grid_space)), 2000, seed=5,
@@ -282,7 +282,7 @@ class TestCli:
         assert "wat" in capsys.readouterr().err
 
     def test_rank_before_extract_fails(self, tmp_path, grid_space, capsys):
-        keys = sorted(grid_space.tracts[0].properties)
+        keys = sorted(grid_space.properties)
         write_tracts(tmp_path / "tracts.csv", grid_space, keys)
         trips = generate_from_hypothesis(build_uniform(20), np.ones(20), 50, seed=1)
         write_trips_file(tmp_path / "trips.csv", trips, grid_space)
@@ -363,7 +363,7 @@ class TestCli:
 
     def test_pipeline_stage_error_names_stage(self, tmp_path, grid_space, capsys):
         # trips file is unreadable garbage: ingest is the failing stage
-        keys = sorted(grid_space.tracts[0].properties)
+        keys = sorted(grid_space.properties)
         write_tracts(tmp_path / "tracts.csv", grid_space, keys)
         (tmp_path / "trips.csv").write_text("nope\n", encoding="utf-8")
         code = main(["pipeline", "--tracts", str(tmp_path / "tracts.csv"),
@@ -559,7 +559,7 @@ class TestBenchTracer:
 def test_blas_thread_count_leaves_artifacts_unchanged(city_space, tmp_path):
     # At r=7 on 288 tracts OpenBLAS splits each hour's (S, r) @ (r, S) product over its
     # threads; the factors, the error and the catalog must not depend on how many it has.
-    write_tracts(tmp_path / "tracts.csv", city_space, sorted(city_space.tracts[0].properties))
+    write_tracts(tmp_path / "tracts.csv", city_space, sorted(city_space.properties))
     rng = np.random.default_rng(11)
     trips = np.column_stack([rng.integers(0, HOURS_PER_WEEK, 4000),
                              rng.integers(0, len(city_space), (4000, 2))]).tolist()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tripflow.cli import main
 from tripflow.geo import (
     GeoPoint,
     InvalidCoordinateError,
@@ -88,7 +89,7 @@ def square(south, west, size=0.1):
 
 
 def tract(i, lat, lon, polygon=None):
-    return Tract(id=f"T{i}", index=i, centroid=GeoPoint(lat, lon), area=1.0, polygon=polygon)
+    return Tract(id=f"T{i}", centroid=GeoPoint(lat, lon), area=1.0, polygon=polygon)
 
 
 class TestLocate:
@@ -184,7 +185,7 @@ def lattice_spaces(draw, rings: bool):
                                            .map(tuple)), min_size=n, max_size=n)
                         .filter(lambda ps: any(ring is not None for ring in ps)))
     space = StateSpace.from_tracts([
-        Tract(id=f"T{i}", index=i, centroid=c, area=1.0, polygon=ring)
+        Tract(id=f"T{i}", centroid=c, area=1.0, polygon=ring)
         for i, (c, ring) in enumerate(zip(centroids, polygons))])
     lattice = st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
         lambda ij: (lat0 + ij[0] * step / 2, lon0 + ij[1] * step / 2))
@@ -264,11 +265,6 @@ class TestStateSpace:
         space = StateSpace.from_tracts([tract(0, 0.0, 0.0), tract(1, 0.0, 0.0)])
         assert space.distances[0, 1] == MIN_DISTANCE_KM
 
-    def test_tracts_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            StateSpace(tracts=(tract(1, 0.0, 0.0), tract(0, 0.0, 0.1)),
-                       distances=np.zeros((2, 2)))
-
     @pytest.mark.parametrize("name", ["grid_space", "city_space"])
     def test_distances_equal_scalar_loop(self, name, request):
         space = request.getfixturevalue(name)
@@ -276,9 +272,25 @@ class TestStateSpace:
 
     @given(st.lists(coords, min_size=1, max_size=12))
     def test_distances_equal_scalar_loop_anywhere(self, centroids):
-        space = StateSpace.from_tracts([Tract(id=f"T{i}", index=i, centroid=c, area=1.0)
+        space = StateSpace.from_tracts([Tract(id=f"T{i}", centroid=c, area=1.0)
                                         for i, c in enumerate(centroids)])
         assert np.array_equal(space.distances, scalar_distances(space.tracts))
+
+    def test_property_columns_checked_and_read_only(self):
+        tracts = [tract(0, 0.0, 0.0), tract(1, 0.0, 0.1)]
+        with pytest.raises(ValueError, match="^property 'venues_all' must hold one finite value"):
+            StateSpace.from_tracts(tracts, {"venues_all": [1.0]})
+        with pytest.raises(ValueError, match="^tract 'T1': property 'venues_all' must hold"):
+            StateSpace.from_tracts(tracts, {"venues_all": [1.0, math.nan]})
+        space = StateSpace.from_tracts(tracts, {"venues_all": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="read-only"):
+            space.property_vector("venues_all")[0] = 5.0
+        assert space.property_vector("tract_area").tolist() == [1.0, 1.0]
+
+    def test_given_tract_area_kept(self):
+        space = StateSpace.from_tracts([tract(0, 0.0, 0.0), tract(1, 0.0, 0.1)],
+                                       {"tract_area": [3.0, 4.0]})
+        assert space.property_vector("tract_area").tolist() == [3.0, 4.0]
 
     def test_property_vector_missing_key(self):
         space = StateSpace.from_tracts([tract(0, 0.0, 0.0), tract(1, 0.0, 0.1)])
@@ -289,32 +301,62 @@ class TestStateSpace:
 class TestTractValidation:
     def test_rejects_bad_area(self):
         with pytest.raises(ValueError):
-            Tract(id="x", index=0, centroid=GeoPoint(0, 0), area=0.0)
+            Tract(id="x", centroid=GeoPoint(0, 0), area=0.0)
 
     def test_rejects_negative_property(self):
         with pytest.raises(ValueError):
-            Tract(id="x", index=0, centroid=GeoPoint(0, 0), area=1.0,
-                  properties={"venues_all": -1.0})
+            StateSpace.from_tracts([Tract(id="x", centroid=GeoPoint(0, 0), area=1.0)],
+                                   {"venues_all": [-1.0]})
 
     def test_rejects_short_polygon(self):
         with pytest.raises(ValueError):
-            Tract(id="x", index=0, centroid=GeoPoint(0, 0), area=1.0,
+            Tract(id="x", centroid=GeoPoint(0, 0), area=1.0,
                   polygon=(GeoPoint(0, 0), GeoPoint(0, 1)))
+
+
+def assert_roundtrip(path, space, keys=None):
+    """Write ``space`` with property ``keys`` (default: all, sorted); it loads back bit for bit."""
+    keys = sorted(space.properties) if keys is None else keys
+    write_tracts(path, space, keys)
+    loaded = load_tracts(path)
+    assert [(t.id, t.centroid, t.area, t.polygon) for t in loaded.tracts] == \
+        [(t.id, t.centroid, t.area, t.polygon) for t in space.tracts]
+    expected = list(keys) if "tract_area" in keys else [*keys, "tract_area"]
+    assert list(loaded.properties) == expected
+    for key in keys:
+        assert loaded.properties[key].view(np.uint64).tolist() == \
+            space.properties[key].view(np.uint64).tolist(), key
+    np.testing.assert_array_equal(loaded.distances, space.distances)
+
+
+RESERVED = ("tract_id", "lat", "lon", "area_sqkm", "polygon")
+EDGE_VALUES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308)
+
+
+@st.composite
+def property_tables(draw):
+    """A space of 1..6 tracts with drawn property columns, and a drawn order of all its keys."""
+    n = draw(st.integers(1, 6))
+    names = st.from_regex(r"[a-z][a-z_]{0,10}", fullmatch=True).filter(lambda k: k not in RESERVED)
+    values = st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    keys = draw(st.lists(names, unique=True, max_size=5))
+    table = {key: draw(st.lists(values, min_size=n, max_size=n)) for key in keys}
+    space = StateSpace.from_tracts([tract(i, 0.0, i * 0.1) for i in range(n)], table)
+    return space, draw(st.permutations(list(space.properties)))
 
 
 class TestTractsFile:
     def test_roundtrip(self, tmp_path, grid_space):
-        keys = sorted(grid_space.tracts[0].properties)
-        path = tmp_path / "tracts.csv"
-        write_tracts(path, grid_space, keys)
-        loaded = load_tracts(path)
-        assert len(loaded) == len(grid_space)
-        for a, b in zip(loaded.tracts, grid_space.tracts):
-            assert a.id == b.id and a.index == b.index
-            assert a.centroid == b.centroid
-            assert a.properties == b.properties
-            assert a.polygon == b.polygon
-        np.testing.assert_array_equal(loaded.distances, grid_space.distances)
+        assert_roundtrip(tmp_path / "tracts.csv", grid_space)
+
+    def test_roundtrip_city(self, tmp_path, city_space):
+        assert_roundtrip(tmp_path / "tracts.csv", city_space)
+
+    @given(property_tables())
+    def test_roundtrip_drawn_tables(self, tmp_path_factory, case):
+        space, keys = case
+        assert_roundtrip(tmp_path_factory.mktemp("tracts") / "tracts.csv", space, keys)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -342,3 +384,49 @@ class TestTractsFile:
             encoding="utf-8")
         space = load_tracts(path)
         assert space.property_vector("tract_area").tolist() == [2.5, 1.5]
+
+    @pytest.mark.parametrize("header, row, key", [
+        ("venues_all,venues_all", "5,7", "venues_all"),  # would shadow the first column
+        ("lat", "41.9", "lat"),  # would shadow the centroid latitude
+    ], ids=["repeated_property", "property_named_like_a_coordinate"])
+    def test_repeated_header_name_rejected(self, tmp_path, header, row, key):
+        path = tmp_path / "tracts.csv"
+        path.write_text(f"tract_id,lat,lon,area_sqkm,polygon,{header}\n"
+                        f"a,40.7,-74.0,1.0,,{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"repeated column name '{key}'"):
+            load_tracts(path)
+
+    def test_empty_header_names_ignored(self, tmp_path):
+        path = tmp_path / "tracts.csv"
+        path.write_text("tract_id,lat,lon,area_sqkm,polygon,venues_all,,\n"
+                        "a,40.7,-74.0,1.0,,5,6,7\n", encoding="utf-8")
+        space = load_tracts(path)
+        assert list(space.properties) == ["venues_all", "tract_area"]
+        assert space.property_vector("venues_all").tolist() == [5.0]
+
+    @pytest.mark.parametrize("cells, column, text", [
+        ("0.0,0.0,1.0,,", "venues_all", "''"),
+        ("0.0,0.0,1.0,,lots", "venues_all", "'lots'"),
+        ("0.0,,1.0,,3", "lon", "''"),
+        ("0.0,0.0,big,,3", "area_sqkm", "'big'"),
+        ("0.0,0.0,1.0,0 0;1,3", "polygon", "unpack"),
+        ("0.0,0.0,1.0", "venues_all", "''"),  # a short row: its missing cells are empty
+    ])
+    def test_bad_cell_named_by_path_tract_and_column(self, tmp_path, cells, column, text):
+        path = tmp_path / "tracts.csv"
+        path.write_text("tract_id,lat,lon,area_sqkm,polygon,venues_all\n"
+                        f"a,0.0,0.0,1.0,,2\nb,{cells}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_tracts(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: tract 'b', column '{column}': ")
+        assert text in message
+
+    def test_bad_cell_fails_the_stage(self, tmp_path, capsys):
+        path = tmp_path / "tracts.csv"
+        path.write_text("tract_id,lat,lon,area_sqkm,polygon,venues_all\n"
+                        "a,0.0,0.0,1.0,,\n", encoding="utf-8")
+        code = main(["factorize", "--tracts", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert (f"stage 'factorize' failed: {path}: tract 'a', column 'venues_all': "
+                "could not convert string to float: ''") in capsys.readouterr().err

@@ -28,20 +28,22 @@ class TestStateSpaceGeneration:
         space = generate_state_space(GridSpec(rows=4, cols=5),
                                      PropertyRecipe(keys=("venues_all",)), seed=1)
         assert len(space) == 20
-        assert [t.index for t in space.tracts] == list(range(20))
+        assert [t.id for t in space.tracts] == [f"T{i:04d}" for i in range(20)]
 
     def test_same_seed_identical(self):
         recipe = PropertyRecipe(keys=("venues_all", "checkins"))
         a = generate_state_space(GridSpec(rows=3, cols=3), recipe, seed=9)
         b = generate_state_space(GridSpec(rows=3, cols=3), recipe, seed=9)
-        assert [t.properties for t in a.tracts] == [t.properties for t in b.tracts]
+        assert a.properties.keys() == b.properties.keys()
+        for key in a.properties:
+            np.testing.assert_array_equal(a.properties[key], b.properties[key])
         np.testing.assert_array_equal(a.distances, b.distances)
 
     def test_distinct_seeds_differ(self):
         recipe = PropertyRecipe(keys=("venues_all",))
         a = generate_state_space(GridSpec(rows=3, cols=3), recipe, seed=1)
         b = generate_state_space(GridSpec(rows=3, cols=3), recipe, seed=2)
-        assert [t.properties for t in a.tracts] != [t.properties for t in b.tracts]
+        assert not np.array_equal(a.properties["venues_all"], b.properties["venues_all"])
 
     def test_positive_pairwise_distances(self):
         space = generate_state_space(GridSpec(rows=4, cols=5),
@@ -53,7 +55,7 @@ class TestStateSpaceGeneration:
         recipe = PropertyRecipe(keys=("venues_nightlife",),
                                 overrides={"venues_nightlife": {3: 777.0}})
         space = generate_state_space(GridSpec(rows=2, cols=2), recipe, seed=1)
-        assert space.tracts[3].properties["venues_nightlife"] == 777.0
+        assert space.properties["venues_nightlife"][3] == 777.0
 
     def test_degenerate_grid(self):
         with pytest.raises(ValueError):
@@ -180,7 +182,7 @@ def test_trips_file_roundtrip(tmp_path, grid_space):
                              pickup_weights=np.ones(20),
                              dropoff_weights=np.ones(20), trip_count=300)
     trips = generate_trips([cluster], grid_space, seed=14)
-    keys = sorted(grid_space.tracts[0].properties)
+    keys = sorted(grid_space.properties)
     write_tracts(tmp_path / "tracts.csv", grid_space, keys)
     write_trips_file(tmp_path / "trips.csv", trips, grid_space)
 

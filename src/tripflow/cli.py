@@ -125,10 +125,13 @@ def run_rank(cfg: PipelineConfig) -> dict:
         raise FileNotFoundError(f"count sets missing in {out}; run extract-clusters first")
     stack = np.empty((len(count_files), len(space), len(space)), dtype=np.int64)
     for path, counts in zip(count_files, stack):  # one count set per slice, loaded in place
-        loaded = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
-        if loaded.shape != counts.shape:
-            raise ValueError(f"{path}: expected a {len(space)}x{len(space)} matrix, "
-                             f"got {loaded.shape}")
+        try:
+            loaded = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
+            if loaded.shape != counts.shape:
+                raise ValueError(f"expected a {len(space)}x{len(space)} matrix, got {loaded.shape}")
+            TransitionCounts(counts=loaded, total=int(loaded.sum()))  # negative counts fail here
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         counts[...] = loaded
     results = k_sweep(TransitionCounts(counts=stack, total=int(stack.sum())),
                       iter_catalog(space, cfg.catalog), cfg.k_grid)

@@ -42,7 +42,6 @@ class PipelineConfig:
     seed: int = NtfOptions.seed
     max_iters: int = NtfOptions.max_iters
     rel_tol: float = NtfOptions.rel_tol
-    epsilon: float = NtfOptions.epsilon
     exclude_self_loops: bool = True
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
 
@@ -157,7 +156,6 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
                           ("seed", config.seed >= 0, ">= 0"),
                           ("max_iters", config.max_iters >= 1, ">= 1"),
                           ("rel_tol", 0 <= config.rel_tol < math.inf, "finite and >= 0"),
-                          ("epsilon", 0 < config.epsilon < math.inf, "finite and > 0"),
                           ("io_eps", 0 <= config.catalog.io_eps < math.inf, "finite and >= 0")):
         if not ok:  # each rule is written so that NaN fails it
             value = getattr(config.catalog if key == "io_eps" else config, key)

@@ -32,10 +32,10 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise InvalidCoordinateError(f"non-finite coordinates ({self.lat}, {self.lon})")
-        if not (-90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0):
-            raise InvalidCoordinateError(f"coordinates out of range ({self.lat}, {self.lon})")
+        for name, value, limit in (("lat", self.lat, 90.0), ("lon", self.lon, 180.0)):
+            if not -limit <= value <= limit:  # NaN fails too
+                raise InvalidCoordinateError(
+                    f"{name} must be finite and within [-{limit:g}, {limit:g}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class Tract:
 
     def __post_init__(self):
         if self.area <= 0 or not math.isfinite(self.area):
-            raise ValueError(f"tract {self.id!r}: area must be finite and > 0")
+            raise ValueError(f"area must be finite and > 0, got {self.area!r}")
         if self.polygon is not None and len(self.polygon) < 3:
-            raise ValueError(f"tract {self.id!r}: polygon needs >= 3 vertices")
+            raise ValueError(f"polygon needs >= 3 vertices, got {len(self.polygon)}")
 
 
 def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -194,7 +194,7 @@ def _parse_polygon(text: str) -> Optional[tuple[GeoPoint, ...]]:
 
 
 def _cell(path, row: dict, key: str, parse=float):
-    """``parse`` of one tracts-file cell; one it cannot read is named by path, tract and column."""
+    """``parse`` of one tracts-file cell; a failure is named by path, tract and column."""
     try:
         return parse(row[key])
     except ValueError as exc:
@@ -208,8 +208,9 @@ def load_tracts(path) -> StateSpace:
     zero or more numeric property columns whose names become property keys;
     columns with an empty name are ignored. The polygon cell may be empty;
     when present it is semicolon-separated ``lat lon`` pairs. A repeated
-    header name, a repeated ``tract_id`` and a missing, empty or non-numeric
-    cell are rejected by name.
+    header name, a repeated ``tract_id``, a missing, empty or non-numeric cell
+    and a value that breaks a rule of GeoPoint, Tract or StateSpace are
+    rejected by name.
     """
     reserved = ("tract_id", "lat", "lon", "area_sqkm", "polygon")
     tracts: dict[str, Tract] = {}
@@ -223,19 +224,24 @@ def load_tracts(path) -> StateSpace:
             raise ValueError(f"{path}: repeated column name {repeated[0]!r} in header")
         columns: dict[str, list[float]] = {key: [] for key in names[5:]}
         for row in reader:
-            if row["tract_id"] in tracts:
-                raise ValueError(f"{path}: duplicate tract_id {row['tract_id']!r}")
+            tract_id = row["tract_id"]
+            if tract_id in tracts:
+                raise ValueError(f"{path}: duplicate tract_id {tract_id!r}")
             for key, column in columns.items():
                 column.append(_cell(path, row, key))
-            tracts[row["tract_id"]] = Tract(
-                id=row["tract_id"],
-                centroid=GeoPoint(_cell(path, row, "lat"), _cell(path, row, "lon")),
-                area=_cell(path, row, "area_sqkm"),
-                polygon=_cell(path, row, "polygon", _parse_polygon),
-            )
+            # checked column by column (0.0 stands in for lon), so a broken rule names its column
+            lat = _cell(path, row, "lat", lambda text: GeoPoint(float(text), 0.0).lat)
+            point = _cell(path, row, "lon", lambda text: GeoPoint(lat, float(text)))
+            area = _cell(path, row, "area_sqkm",
+                         lambda text: Tract(tract_id, point, float(text)).area)
+            tracts[tract_id] = _cell(path, row, "polygon", lambda text: Tract(
+                tract_id, point, area, _parse_polygon(text)))
     if not tracts:
         raise ValueError(f"{path}: no tracts")
-    return StateSpace.from_tracts(tracts.values(), columns)
+    try:
+        return StateSpace.from_tracts(tracts.values(), columns)
+    except ValueError as exc:  # a property value that breaks its rule, named by tract and key
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_tracts(path, space: StateSpace, property_keys: Sequence[str]) -> None:

@@ -90,12 +90,12 @@ def build_uniform(size: int, name: str = "uniform") -> HypothesisMatrix:
     return _finish(name, np.ones((size, size)))
 
 
-def build_inverse_distance(space: StateSpace, name: str = "inverse_distance") -> HypothesisMatrix:
+def build_inverse_distance(space: StateSpace) -> HypothesisMatrix:
     """Belief decays as 1/distance; nearer targets are more plausible."""
     q = np.zeros((len(space), len(space)))
     off = ~np.eye(len(space), dtype=bool)
     q[off] = 1.0 / space.distances[off]
-    return _finish(name, q)
+    return _finish("inverse_distance", q)
 
 
 def build_gaussian(space: StateSpace, sigma: float,
@@ -128,8 +128,7 @@ def build_gaussian(space: StateSpace, sigma: float,
     return _finish(name or default_name, q)
 
 
-def build_mass(space: StateSpace, w: WeightVector, variant: str,
-               name: Optional[str] = None) -> HypothesisMatrix:
+def build_mass(space: StateSpace, w: WeightVector, variant: str) -> HypothesisMatrix:
     """Destination-mass families.
 
     density / popularity: belief proportional to the target's mass alone.
@@ -147,14 +146,13 @@ def build_mass(space: StateSpace, w: WeightVector, variant: str,
         q = np.outer(weights, weights) / dist_safe
     else:
         raise ValueError(f"unknown mass variant {variant!r}")
-    return _finish(name or f"{variant}_{w.name}", q)
+    return _finish(f"{variant}_{w.name}", q)
 
 
-def _opportunities(space: StateSpace, w: WeightVector, eps: float,
-                   unweighted: bool) -> tuple[np.ndarray, np.ndarray]:
+def _opportunities(space: StateSpace, w: WeightVector, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Weight of tracts u != i with d(i, u) < d(i, j) - eps (closer[i, j]) and with d(i, u)
     in [d(i, j) - eps, d(i, j) + eps] (tied[i, j]); one sorted prefix sum per origin i."""
-    weights = np.ones(len(space)) if unweighted else _check_weights(space, w)
+    weights = _check_weights(space, w)
     closer, tied = np.empty((2, len(space), len(space)))
     for i, row_d in enumerate(space.distances):
         order = np.argsort(row_d, kind="stable")
@@ -166,22 +164,18 @@ def _opportunities(space: StateSpace, w: WeightVector, eps: float,
     return closer, tied
 
 
-def build_rank_distance(space: StateSpace, w: WeightVector,
-                        name: Optional[str] = None,
-                        unweighted: bool = False) -> HypothesisMatrix:
+def build_rank_distance(space: StateSpace, w: WeightVector) -> HypothesisMatrix:
     """Belief inversely proportional to the mass lying closer than the target.
 
     rank(i, j) sums the weights of tracts u != i strictly closer to i than j
-    is; empty sums clamp to 1 so the nearest target keeps belief 1. With
-    ``unweighted`` every tract counts 1 instead of its weight.
+    is; empty sums clamp to 1 so the nearest target keeps belief 1.
     """
-    closer, _ = _opportunities(space, w, 0.0, unweighted)
-    return _finish(name or f"rank_distance_{w.name}", 1.0 / np.maximum(closer, 1.0))
+    closer, _ = _opportunities(space, w, 0.0)
+    return _finish(f"rank_distance_{w.name}", 1.0 / np.maximum(closer, 1.0))
 
 
-def build_intervening_opportunities(space: StateSpace, w: WeightVector, eps: float,
-                                    name: Optional[str] = None,
-                                    unweighted: bool = False) -> HypothesisMatrix:
+def build_intervening_opportunities(space: StateSpace, w: WeightVector,
+                                    eps: float) -> HypothesisMatrix:
     """Opportunities at the target's distance over opportunities in between.
 
     The numerator sums weights of tracts u != i whose distance from i matches
@@ -191,13 +185,11 @@ def build_intervening_opportunities(space: StateSpace, w: WeightVector, eps: flo
     """
     if not 0 <= eps < math.inf:  # written so that NaN fails too
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
-    closer, tied = _opportunities(space, w, eps, unweighted)
-    return _finish(name or f"intervening_opportunities_{w.name}",
-                   tied / np.maximum(closer, 1.0))
+    closer, tied = _opportunities(space, w, eps)
+    return _finish(f"intervening_opportunities_{w.name}", tied / np.maximum(closer, 1.0))
 
 
-def build_cosine_similarity(features: FeatureVectors,
-                            name: Optional[str] = None) -> HypothesisMatrix:
+def build_cosine_similarity(features: FeatureVectors) -> HypothesisMatrix:
     """Belief from the cosine of origin and target feature vectors.
 
     Zero-norm feature vectors contribute zero belief; the downstream prior
@@ -210,7 +202,7 @@ def build_cosine_similarity(features: FeatureVectors,
     q /= np.outer(safe, safe)
     q[norms == 0, :] = 0.0
     q[:, norms == 0] = 0.0
-    return _finish(name or f"cosine_{features.name}", q)
+    return _finish(f"cosine_{features.name}", q)
 
 
 # --- default catalog ----------------------------------------------------------
@@ -268,7 +260,6 @@ class CatalogConfig:
     poverty_keys: tuple[str, ...] = POVERTY_FEATURE_KEYS
     employment_keys: tuple[str, ...] = EMPLOYMENT_FEATURE_KEYS
     io_eps: float = 1e-9
-    unweighted_opportunities: bool = False
 
     def required_keys(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -309,9 +300,8 @@ def _hypotheses(space: StateSpace, config: CatalogConfig) -> Iterator[Hypothesis
     yield build_mass(space, checkins, "popularity")
     yield build_mass(space, all_venues, "gravitational_mass")
     yield build_mass(space, all_venues, "gravitational_target")
-    yield build_rank_distance(space, all_venues, unweighted=config.unweighted_opportunities)
-    yield build_intervening_opportunities(space, all_venues, eps=config.io_eps,
-                                          unweighted=config.unweighted_opportunities)
+    yield build_rank_distance(space, all_venues)
+    yield build_intervening_opportunities(space, all_venues, eps=config.io_eps)
     for key in config.venue_category_keys:
         yield build_mass(space, _weight(space, key), "gravitational_target")
     yield build_cosine_similarity(_features(space, "venue_categories", config.venue_category_keys))

@@ -197,7 +197,7 @@ def demo_landmarks(space: StateSpace) -> tuple[tuple[str, GeoPoint], ...]:
     return tuple((name, space.tracts[i].centroid) for name, i in picks)
 
 
-def build_demo_fixture(seed: int = 42) -> tuple[StateSpace, list[Trip], dict]:
+def build_demo_fixture(seed: int) -> tuple[StateSpace, list[Trip], dict]:
     """The shipped synthetic city: one planted weekend-night nightlife cluster.
 
     20,000 trips head toward high-nightlife tracts on weekend nights under a
@@ -228,7 +228,7 @@ def build_demo_fixture(seed: int = 42) -> tuple[StateSpace, list[Trip], dict]:
     return space, planted + background, manifest
 
 
-def write_demo_fixture(directory, seed: int = 42) -> dict:
+def write_demo_fixture(directory, seed: int) -> dict:
     """Write the demo city to disk, each file whole or not at all: tracts, trips, manifest, cfg.
 
     ``demo.cfg`` is removed first and written last, so it marks the set whole.

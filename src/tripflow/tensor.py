@@ -107,7 +107,6 @@ class NtfOptions:
     seed: int = 42
     max_iters: int = 500
     rel_tol: float = 1e-6
-    epsilon: float = 1e-12
 
 
 @dataclass
@@ -144,6 +143,7 @@ def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normalized, norms
 
 
+UPDATE_FLOOR = 1e-12  # floor of the multiplicative update's denominator: no division by 0
 _BLOCK_CELLS = 2 ** 16  # dense residual cells per block of hours: 512 KB, about L2-sized
 
 
@@ -184,7 +184,7 @@ def ntf_decompose(x: MobilityTensor, r: int,
 
     Each sweep updates one mode at a time: the scale vector is absorbed into
     the mode being updated, the factor is rescaled by the ratio of the sparse
-    MTTKRP to the Gram-matrix denominator (floored at ``opts.epsilon``), and
+    MTTKRP to the Gram-matrix denominator (floored at ``UPDATE_FLOOR``), and
     the columns are L1-renormalized with the magnitude swept back into scale.
     Per-mode updates never increase the squared-Frobenius objective, so the
     recorded error trace is non-increasing. Deterministic for a fixed seed.
@@ -223,7 +223,7 @@ def ntf_decompose(x: MobilityTensor, r: int,
             numerator = _mttkrp(coords, vals, factors, mode, dims)
             a, b = (m for m in range(3) if m != mode)
             denominator = scaled @ (grams[a] * grams[b])
-            scaled *= numerator / np.maximum(denominator, opts.epsilon)
+            scaled *= numerator / np.maximum(denominator, UPDATE_FLOOR)
             factors[mode], scale = _normalize_columns(scaled)
             grams[mode] = factors[mode].T @ factors[mode]
 

@@ -12,7 +12,7 @@ import pytest
 from tripflow.geo import EARTH_RADIUS_KM, GeoPoint, StateSpace, Tract
 from tripflow.hypotheses import CatalogConfig
 from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
-from tripflow.tensor import FactorSet, MobilityTensor, _normalize_columns
+from tripflow.tensor import UPDATE_FLOOR, FactorSet, MobilityTensor, _normalize_columns
 
 
 def make_space(distances, properties=None) -> StateSpace:
@@ -155,8 +155,8 @@ def scalar_locate(p: GeoPoint, space: StateSpace) -> Optional[int]:
 # kept as its oracle. Each returns the belief matrix with its diagonal zeroed.
 
 
-def loop_rank_distance(space: StateSpace, w, unweighted: bool = False) -> np.ndarray:
-    weights = np.ones(len(space)) if unweighted else np.asarray(w.w, dtype=float)
+def loop_rank_distance(space: StateSpace, w) -> np.ndarray:
+    weights = np.asarray(w.w, dtype=float)
     n = len(space)
     q = np.zeros((n, n))
     for i in range(n):
@@ -169,9 +169,8 @@ def loop_rank_distance(space: StateSpace, w, unweighted: bool = False) -> np.nda
     return q
 
 
-def loop_intervening_opportunities(space: StateSpace, w, eps: float,
-                                   unweighted: bool = False) -> np.ndarray:
-    weights = np.ones(len(space)) if unweighted else np.asarray(w.w, dtype=float)
+def loop_intervening_opportunities(space: StateSpace, w, eps: float) -> np.ndarray:
+    weights = np.asarray(w.w, dtype=float)
     n = len(space)
     q = np.zeros((n, n))
     for i in range(n):
@@ -240,7 +239,7 @@ def oracle_decompose(x: MobilityTensor, r: int, opts) -> tuple[list, np.ndarray,
             for m in range(3):
                 if m != mode:
                     gram *= grams[m]
-            scaled *= numerator / np.maximum(scaled @ gram, opts.epsilon)
+            scaled *= numerator / np.maximum(scaled @ gram, UPDATE_FLOOR)
             factors[mode], scale = _normalize_columns(scaled)
             grams[mode] = factors[mode].T @ factors[mode]
         errors.append(dense_slice_error(coords, vals, x.dims, factors, scale))

@@ -1,4 +1,5 @@
 import builtins
+import configparser
 import csv
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import tripflow.cli
 import tripflow.clusters
 from tripflow.cli import main, run_build_hypotheses, run_pipeline, run_rank
-from tripflow.config import ConfigError, PipelineConfig, load_config
+from tripflow.config import _SECTIONS, ConfigError, PipelineConfig, load_config
 from tripflow.evidence import k_sweep, write_rankings
 from tripflow.geo import GeoPoint, load_tracts, write_tracts
 from tripflow.hypotheses import (CatalogConfig, CatalogConfigError, WeightVector, build_catalog,
@@ -39,7 +40,7 @@ class TestDefaults:
         assert cfg.catalog.sigma_grid == (0.01, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
         assert cfg.seed == 42
         assert cfg.exclude_self_loops is True
-        assert cfg.max_iters == 500 and cfg.rel_tol == 1e-6 and cfg.epsilon == 1e-12
+        assert cfg.max_iters == 500 and cfg.rel_tol == 1e-6
 
 
 class TestConfigFile:
@@ -157,27 +158,52 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown config override 'sigma_grid'"):
             load_config(sigma_grid=(5.0,))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("pipeline", "epsilon", "1e-12"), ("catalog", "unweighted_opportunities", "false")])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        cfg = load_config()
+        assert not any(hasattr(obj, key) for obj in (cfg, cfg.catalog, cfg.ntf_options()))
+        assert main(["synth", "--config", str(path), "--output-dir", str(tmp_path / "fix")]) == 2
+        assert f"unknown key(s) in [{section}]: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "fix").exists()
+
+    def test_readme_block_loads_as_the_defaults(self, tmp_path, monkeypatch):
+        for key in _SECTIONS["paths"]:
+            monkeypatch.delenv(f"TRIPFLOW_{key.upper()}", raising=False)
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration file", 1)[1].split("```ini\n", 1)[1]
+        block = block.split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        assert load_config(path) == replace(PipelineConfig(), tracts=Path("tracts.csv"),
+                                            trips=Path("trips.csv"), output_dir=Path("out"))
+        parser = configparser.ConfigParser()
+        parser.read_string(block)
+        assert {name: set(parser[name]) for name in parser.sections()} == \
+            {name: set(keys) for name, keys in _SECTIONS.items()}
+
     def test_every_key_parsed(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
             "[paths]\ntracts = t.csv\ntrips = u.csv\noutput_dir = o\n"
             "[pipeline]\nr = 3\nn = 4\nk_grid = 0, 2\nseed = 9\n"
-            "max_iters = 7\nrel_tol = 0.5\nepsilon = 1e-3\nexclude_self_loops = off\n"
+            "max_iters = 7\nrel_tol = 0.5\nexclude_self_loops = off\n"
             "[catalog]\nlandmarks = a 1 2; b 3 4\nsigma_grid = 1 2\nall_venues_key = v\n"
             "checkins_key = c\nvenue_category_keys = a, b\ncensus_indicator_keys = c d\n"
-            "race_keys = e\npoverty_keys = f\nemployment_keys = g\nio_eps = 0.1\n"
-            "unweighted_opportunities = yes\n", encoding="utf-8")
+            "race_keys = e\npoverty_keys = f\nemployment_keys = g\nio_eps = 0.1\n",
+            encoding="utf-8")
         cfg = load_config(path)
         assert cfg == PipelineConfig(
             tracts=Path("t.csv"), trips=Path("u.csv"), output_dir=Path("o"), r=3, n=4,
-            k_grid=(0.0, 2.0), seed=9, max_iters=7, rel_tol=0.5, epsilon=1e-3,
-            exclude_self_loops=False,
+            k_grid=(0.0, 2.0), seed=9, max_iters=7, rel_tol=0.5, exclude_self_loops=False,
             catalog=CatalogConfig(
                 landmarks=(("a", GeoPoint(1.0, 2.0)), ("b", GeoPoint(3.0, 4.0))),
                 sigma_grid=(1.0, 2.0), all_venues_key="v", checkins_key="c",
                 venue_category_keys=("a", "b"), census_indicator_keys=("c", "d"),
                 race_keys=("e",), poverty_keys=("f",), employment_keys=("g",),
-                io_eps=0.1, unweighted_opportunities=True))
+                io_eps=0.1))
         for obj, default in ((cfg, PipelineConfig()), (cfg.catalog, CatalogConfig())):
             for f in fields(obj):
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
@@ -314,9 +340,9 @@ class TestCli:
         ([], "[pipeline]\nrel_tol = nan\n", "rel_tol must be finite and >= 0"),
         ([], "[pipeline]\nrel_tol = inf\n", "rel_tol must be finite and >= 0"),
         ([], "[pipeline]\nrel_tol = -1\n", "rel_tol must be finite and >= 0"),
-        ([], "[pipeline]\nepsilon = nan\n", "epsilon must be finite and > 0"),
-        ([], "[pipeline]\nepsilon = -1\n", "epsilon must be finite and > 0"),
-        ([], "[pipeline]\nepsilon = 0\n", "epsilon must be finite and > 0"),
+        ([], "[pipeline]\nepsilon = nan\n", "unknown key(s) in [pipeline]: epsilon"),
+        ([], "[pipeline]\nepsilon = -1\n", "unknown key(s) in [pipeline]: epsilon"),
+        ([], "[pipeline]\nepsilon = 0\n", "unknown key(s) in [pipeline]: epsilon"),
         ([], "[catalog]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label(s) 1"),
         ([], "[catalog]\nlandmarks = a 40.7 -74.0; b 40.8 -74.0; a 40.9 -74.0\n",
          "landmarks repeats the name(s) a"),
@@ -419,6 +445,19 @@ class TestCountSets:
         monkeypatch.setattr(tripflow.clusters, "top_indices", counting)
         assert main(["extract-clusters", "--config", str(mini_copy)]) == 0
         assert len(calls) == 2 * 2  # time and dropoff column of each of r = 2 components
+
+    @pytest.mark.parametrize("cell, text", [
+        ("-1", "negative transition count"),
+        ("1.5", "could not convert string '1.5' to int64 at row 0, column 2."),
+    ], ids=["negative", "fraction"])
+    def test_bad_count_cell_names_the_file(self, mini_copy, capsys, cell, text):
+        path = mini_copy.parent / "out" / "cluster_1_counts.csv"
+        rows = path.read_text(encoding="utf-8").splitlines()
+        first = rows[0].split(",")
+        rows[0] = ",".join([first[0], cell, *first[2:]])
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["rank", "--config", str(mini_copy)]) == 1
+        assert f"stage 'rank' failed: {path}: {text}" in capsys.readouterr().err
 
     def test_factors_of_another_state_space_rejected(self, mini_copy, capsys):
         out = mini_copy.parent / "out"

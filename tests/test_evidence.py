@@ -87,6 +87,12 @@ class TestElicit:
         with pytest.raises(ValueError):
             elicit_prior(build_uniform(3), -1.0)
 
+    @pytest.mark.parametrize("alpha", [[[1.0, 0.5]], [[1.0, np.inf]], [[np.nan, 1.0]]],
+                             ids=["below_one", "infinite", "nan"])
+    def test_prior_checks(self, alpha):
+        with pytest.raises(ValueError, match="^prior entries must be finite and >= 1$"):
+            PriorMatrix(alpha=np.array(alpha), k=1.0)
+
 
 class TestLogEvidence:
     def test_closed_form_fixture(self):

@@ -422,6 +422,37 @@ class TestTractsFile:
         assert message.startswith(f"{path}: tract 'b', column '{column}': ")
         assert text in message
 
+    @pytest.mark.parametrize("cells, column, text", [
+        ("95,0.0,1.0,,2", "lat", "lat must be finite and within [-90, 90], got 95.0"),
+        ("nan,0.0,1.0,,2", "lat", "lat must be finite and within [-90, 90], got nan"),
+        ("0.0,-inf,1.0,,2", "lon", "lon must be finite and within [-180, 180], got -inf"),
+        ("0.0,0.0,0,,2", "area_sqkm", "area must be finite and > 0, got 0.0"),
+        ("0.0,0.0,1.0,0 0;0 1,2", "polygon", "polygon needs >= 3 vertices, got 2"),
+    ], ids=["lat_out_of_range", "lat_nan", "lon_infinite", "zero_area", "two_vertex_polygon"])
+    def test_broken_rule_named_by_path_tract_and_column(self, tmp_path, cells, column, text):
+        path = tmp_path / "tracts.csv"
+        path.write_text("tract_id,lat,lon,area_sqkm,polygon,venues_all\n"
+                        f"a,{cells}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_tracts(path)
+        assert str(caught.value) == f"{path}: tract 'a', column '{column}': {text}"
+
+    def test_negative_property_named_by_path_tract_and_key(self, tmp_path):
+        path = tmp_path / "tracts.csv"
+        path.write_text("tract_id,lat,lon,area_sqkm,polygon,venues_all\n"
+                        "a,0.0,0.0,1.0,,2\nb,0.0,0.1,1.0,,-5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{path}: tract 'b': property 'venues_all' "
+                                             "must hold one finite value >= 0 per tract$"):
+            load_tracts(path)
+
+    def test_broken_rule_fails_the_stage(self, tmp_path, capsys):
+        path = tmp_path / "tracts.csv"
+        path.write_text("tract_id,lat,lon,area_sqkm,polygon\na,95,0.0,1.0,\n", encoding="utf-8")
+        code = main(["factorize", "--tracts", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert (f"stage 'factorize' failed: {path}: tract 'a', column 'lat': "
+                "lat must be finite and within [-90, 90], got 95.0") in capsys.readouterr().err
+
     def test_bad_cell_fails_the_stage(self, tmp_path, capsys):
         path = tmp_path / "tracts.csv"
         path.write_text("tract_id,lat,lon,area_sqkm,polygon,venues_all\n"

@@ -230,27 +230,23 @@ class TestOpportunityKernel:
     """Both sorted-kernel families against the O(S^3) mask loops kept in conftest."""
 
     @settings(max_examples=200, deadline=None)
-    @given(integer_spaces(), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.booleans())
-    def test_exact_on_integer_distances(self, drawn, eps, unweighted):
+    @given(integer_spaces(), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def test_exact_on_integer_distances(self, drawn, eps):
         space, w = drawn
-        assert (build_rank_distance(space, w, unweighted=unweighted).q
-                == loop_rank_distance(space, w, unweighted)).all()
-        expected = loop_intervening_opportunities(space, w, eps, unweighted)
+        assert (build_rank_distance(space, w).q == loop_rank_distance(space, w)).all()
+        expected = loop_intervening_opportunities(space, w, eps)
         if not expected.any():
             with pytest.raises(ValueError, match="all zero"):
-                build_intervening_opportunities(space, w, eps, unweighted=unweighted)
+                build_intervening_opportunities(space, w, eps)
         else:
-            assert (build_intervening_opportunities(space, w, eps, unweighted=unweighted).q
-                    == expected).all()
+            assert (build_intervening_opportunities(space, w, eps).q == expected).all()
 
-    @pytest.mark.parametrize("unweighted", [False, True])
-    def test_city_within_bound(self, city_space, unweighted):
+    def test_city_within_bound(self, city_space):
         # cum[hi] - cum[lo] cancels: measured up to 3.4e-13 relative on this space
         w = WeightVector("venues_all", city_space.property_vector("venues_all"))
-        pairs = [(build_rank_distance(city_space, w, unweighted=unweighted).q,
-                  loop_rank_distance(city_space, w, unweighted)),
-                 (build_intervening_opportunities(city_space, w, 1e-9, unweighted=unweighted).q,
-                  loop_intervening_opportunities(city_space, w, 1e-9, unweighted))]
+        pairs = [(build_rank_distance(city_space, w).q, loop_rank_distance(city_space, w)),
+                 (build_intervening_opportunities(city_space, w, 1e-9).q,
+                  loop_intervening_opportunities(city_space, w, 1e-9))]
         for got, expected in pairs:
             assert ((got != 0) == (expected != 0)).all()
             nonzero = expected != 0

@@ -16,6 +16,7 @@ from tripflow.geo import GeoPoint, hour_of_week, write_tracts
 from tripflow.ingest import (
     RAW_TRIP,
     TRIPS_HEADER,
+    TransitionCounts,
     Trip,
     clean_trips,
     load_raw_trips,
@@ -135,6 +136,14 @@ class TestTransitionCounts:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             transition_counts([Trip(0, 0, 5)], 3)
+
+    @pytest.mark.parametrize("counts, total, message", [
+        ([[0, 2], [1, 0]], 4, "total does not match entry sum"),
+        ([[0, -1], [1, 0]], 0, "negative transition count"),
+    ], ids=["total", "negative"])
+    def test_checks(self, counts, total, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransitionCounts(counts=np.array(counts, dtype=np.int64), total=total)
 
 
 def _disk_full_midway():

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,23 @@ class TestDecompose:
         for m in f.factors():
             assert (m >= 0).all() and np.isfinite(m).all()
             np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("time", np.full((4, 2), 0.25), "time factor has 2 columns, expected r=1"),
+    ("pickup", np.array([[1.5], [-0.5]]), "pickup factor entries must be finite and >= 0"),
+    ("pickup", np.array([[np.nan], [1.0]]), "pickup factor entries must be finite and >= 0"),
+    ("dropoff", np.array([[0.5], [0.6], [0.0]]), "dropoff factor columns are not L1-normalized"),
+    ("scale", np.array([-1.0]), "scale must be a non-negative r-vector"),
+    ("scale", np.ones(2), "scale must be a non-negative r-vector"),
+], ids=["column_count", "negative_entry", "nan_entry", "not_l1", "negative_scale",
+        "scale_shape"])
+def test_factor_set_checks(field, value, message):
+    parts = {"time": np.full((4, 1), 0.25), "pickup": np.full((2, 1), 0.5),
+             "dropoff": np.array([[0.5], [0.5], [0.0]]), "scale": np.ones(1)}
+    FactorSet(r=1, **parts)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FactorSet(r=1, **(parts | {field: value}))
 
 
 class TestReconstructionError:

@@ -6,6 +6,7 @@ from itertools import permutations
 from pathlib import Path
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -256,3 +257,15 @@ def dense_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
     value = (gammaln(row_alpha) - gammaln(row_alpha + counts.sum(axis=1))
              + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=1))
     return float(value.sum())
+
+
+def exact_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> mpmath.mpf:
+    """The log evidence of the double-precision prior, at 40 significant digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for row_alpha, row_counts in zip(alpha.tolist(), counts.tolist()):
+            a_sum = mpmath.fsum(row_alpha)  # each double is exact in mpf
+            total += mpmath.loggamma(a_sum) - mpmath.loggamma(a_sum + sum(row_counts))
+            total += mpmath.fsum(mpmath.loggamma(mpmath.mpf(a) + n) - mpmath.loggamma(a)
+                                 for a, n in zip(row_alpha, row_counts) if n)
+        return +total

@@ -429,6 +429,15 @@ class TestCountSets:
         assert main(["rank", "--config", str(mini_copy)]) == 0
         assert (out / "rankings.csv").read_bytes() == with_trips
 
+    def test_rank_process_loads_no_scipy(self, mini_copy):
+        # rank scores with numpy alone, so its process never pays scipy's import
+        script = ("import sys\nfrom tripflow.cli import main\n"
+                  f"code = main(['rank', '--config', {str(mini_copy)!r}])\n"
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = fresh_python("-c", script, env=dict(os.environ))
+        assert out.splitlines()[-1] == "0 []"
+        assert (mini_copy.parent / "out" / "rankings.csv").is_file()
+
     def test_rank_without_overall_counts_fails(self, mini_copy, capsys):
         (mini_copy.parent / "out" / "overall_counts.csv").unlink()
         assert main(["rank", "--config", str(mini_copy)]) == 1

@@ -28,7 +28,7 @@ from tripflow.ingest import TransitionCounts
 from tripflow.synth import generate_from_hypothesis
 from tripflow.ingest import transition_counts
 
-from conftest import dense_log_evidence, fresh_python
+from conftest import dense_log_evidence, exact_log_evidence, fresh_python
 
 
 def counts_of(matrix) -> TransitionCounts:
@@ -39,6 +39,18 @@ def counts_of(matrix) -> TransitionCounts:
 def assert_close(value: float, dense: float) -> None:
     """Within 1e-12 relative of the dense formula: same terms, another summation order."""
     assert abs(value - dense) <= 1e-12 * abs(dense), (value, dense)
+
+
+def assert_near_oracle(value: float, counts: np.ndarray, alpha: np.ndarray) -> None:
+    """Within 1e-12 relative of the dense formula, or, where that formula is itself off by more
+    than 1e-12 of the 40-digit reference (its lnG(A) - lnG(A + N) cancels digits at large
+    alpha), within 1e-12 relative of that reference."""
+    dense = dense_log_evidence(counts, alpha)
+    if abs(value - dense) <= 1e-12 * abs(dense):
+        return
+    exact = exact_log_evidence(counts, alpha)
+    assert abs(dense - exact) > 1e-12 * abs(exact), (value, dense, exact)
+    assert abs(value - exact) <= 1e-12 * abs(exact), (value, dense, exact)
 
 
 def polya_log_evidence(counts: np.ndarray, alpha: np.ndarray) -> float:
@@ -145,7 +157,7 @@ class TestLogEvidence:
             alpha[rng.random((s, s)) < 0.1] = 1.0
             alpha = np.minimum(alpha, 1e8)
             value = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=1.0))
-            assert_close(value, dense_log_evidence(counts, alpha))
+            assert_near_oracle(value, counts, alpha)
 
     def test_extra_transition_favors_stronger_belief(self):
         # at two zero-diagonal states the only way beliefs in 0 -> 1 can
@@ -246,30 +258,49 @@ class TestKSweep:
     def test_scorer_sees_row_sums_and_observed_cells_only(self, monkeypatch, grid_space):
         calls = []
 
-        def spy(*arrays):
-            calls.append(arrays)
-            return scorer(*arrays)
+        def spy(*args):
+            calls.append(args)
+            return scorer(*args)
 
         scorer = evidence._log_evidence
         monkeypatch.setattr(evidence, "_log_evidence", spy)
         size = len(grid_space)
         counts = np.zeros((size, size), dtype=np.int64)
-        counts[0, 1], counts[2, 5], counts[2, 7] = 3, 1, 4
+        counts[0, 1], counts[2, 5], counts[2, 7] = 3, 1, 4  # row 2 leads with 4 trips at column 7
         n = counts_of(counts)
-        catalog = [build_uniform(size), build_inverse_distance(grid_space)]
+        partial = build_inverse_distance(grid_space).q.copy()
+        partial[2] = 0.0  # an all-zero belief row where trips start
+        catalog = [build_uniform(size), build_inverse_distance(grid_space),
+                   HypothesisMatrix("partial", partial)]
         ks = (0.0, 10.0)
         k_sweep(n, catalog, ks)
-        priors = [elicit_prior(h, k) for h in catalog for k in ks]  # the sweep's call order
-        log_evidence(n, priors[-1])
-        assert len(calls) == len(priors) + 1
-        for (row_alpha, row_counts, cell_alpha, cell_counts), prior in \
-                zip(calls, priors + priors[-1:]):
-            assert [a.shape for a in (row_alpha, row_counts, cell_alpha, cell_counts)] == \
-                [(size,), (size,), (3,), (3,)]
-            np.testing.assert_array_equal(row_alpha, prior.alpha.sum(axis=1))
-            np.testing.assert_array_equal(row_counts, counts.sum(axis=1))
-            np.testing.assert_array_equal(cell_alpha, prior.alpha[counts > 0])
-            np.testing.assert_array_equal(cell_counts, [3, 1, 4])
+        log_evidence(n, elicit_prior(catalog[-1], 10.0))
+        # one call per hypothesis, scoring the count set stacked once per k; then log_evidence
+        assert [call[0].blocks for call in calls] == [len(ks)] * len(catalog) + [1]
+        lead, rest = [1, 2 * size + 7], [2 * size + 5]
+        for (s, lead_alpha, rest_alpha, row_alpha, row_terms), h, sweep in \
+                zip(calls, catalog + catalog[-1:], [ks] * len(catalog) + [None]):
+            priors = [elicit_prior(h, k) for k in sweep or (10.0,)]
+            block = np.arange(s.blocks)[:, None] * size * size
+            np.testing.assert_array_equal(s.lead, (block + lead).ravel())
+            np.testing.assert_array_equal(s.lead_n.n, [3, 4] * s.blocks)
+            np.testing.assert_array_equal(s.rest, (block + rest).ravel())
+            np.testing.assert_array_equal(s.rest_n.n, [1] * s.blocks)
+            row_lead, outside_lead = np.zeros(size), np.zeros(size, dtype=np.int64)
+            row_lead[[0, 2]], outside_lead[2] = (3, 4), 1
+            np.testing.assert_array_equal(s.row_lead, np.tile(row_lead, s.blocks))
+            np.testing.assert_array_equal(s.rows.n, np.tile(outside_lead, s.blocks))
+            for alpha, at in ((lead_alpha, lead), (rest_alpha, rest)):
+                np.testing.assert_array_equal(alpha, [p.alpha.flat[i] for p in priors for i in at])
+            if sweep:  # each row's sum in exact arithmetic, picked by the zero rows
+                expected = np.concatenate([np.where(h.q.any(axis=1), size * (1 + k), size)
+                                           for k in sweep])
+            else:  # log_evidence: the prior's own row sums
+                expected = priors[0].alpha.sum(axis=1)
+            np.testing.assert_array_equal(row_alpha, expected)
+            np.testing.assert_array_equal(row_terms,
+                                          evidence._log_rising(row_alpha + s.row_lead, s.rows))
+        assert calls[2][3][size + 2] == size != calls[1][3][size + 2]  # "partial"'s zero row
 
     def test_empty_grid(self, grid_space):
         with pytest.raises(ValueError):
@@ -282,12 +313,12 @@ class TestKSweep:
         lambda n, catalog, k: elicit_prior(catalog[0], k)], ids=["k_sweep", "rank", "elicit"])
     def test_bad_k_rejected_before_scoring(self, monkeypatch, sweep, k):
         # 1e308 is finite, but k * |S| overflows the prior
-        monkeypatch.setattr(evidence, "_log_evidence", unreachable)
+        forbid_scoring(monkeypatch)
         with pytest.raises(ValueError, match=r"k must be finite and >= 0 .*got k="):
             sweep(counts_of([[0, 1], [1, 0]]), [build_uniform(2)], k)
 
     def test_belief_shape_mismatch_rejected_before_scoring(self, monkeypatch):
-        monkeypatch.setattr(evidence, "_log_evidence", unreachable)
+        forbid_scoring(monkeypatch)
         catalog = [build_uniform(3), build_uniform(2, name="small")]
         message = re.escape("small: belief shape (2, 2) != count shape (3, 3)")
         with pytest.raises(ValueError, match=message):
@@ -298,6 +329,11 @@ class TestKSweep:
 
 def unreachable(*args):
     raise AssertionError("scored before the inputs were checked")
+
+
+def forbid_scoring(monkeypatch):
+    for scorer in ("_log_evidence", "_log_rising", "_log_rising_sums", "_log_rising_ratios"):
+        monkeypatch.setattr(evidence, scorer, unreachable)
 
 
 @st.composite
@@ -341,8 +377,8 @@ def test_sweep_matches_per_prior_oracle(case):
             assert sorted(scores) == sorted(h.name for h in catalog)
             for h in catalog:
                 prior = elicit_prior(h, k)
-                assert_close(scores[h.name], dense_log_evidence(n.counts, prior.alpha))
-                assert_close(log_evidence(n, prior), dense_log_evidence(n.counts, prior.alpha))
+                assert_near_oracle(scores[h.name], n.counts, prior.alpha)
+                assert_near_oracle(log_evidence(n, prior), n.counts, prior.alpha)
             for a, b in zip(catalog, catalog[1:]):
                 if np.array_equal(a.q, b.q):  # the same beliefs tie exactly
                     assert scores[a.name] == scores[b.name]
@@ -375,9 +411,9 @@ class TestStreamedCatalog:
     def test_wrong_shape_in_stream_raised_before_it_is_scored(self, monkeypatch):
         calls = []
 
-        def spy(*arrays):
-            calls.append(arrays)
-            return scorer(*arrays)
+        def spy(*args):
+            calls.append(args)
+            return scorer(*args)
 
         scorer = evidence._log_evidence
         monkeypatch.setattr(evidence, "_log_evidence", spy)
@@ -385,8 +421,8 @@ class TestStreamedCatalog:
         message = re.escape("small: belief shape (2, 2) != count shape (3, 3)")
         with pytest.raises(ValueError, match=message):
             k_sweep(counts_of(np.ones((3, 3))), stream, (0.0, 10.0))
-        assert len(calls) == 2  # the first hypothesis at both k, nothing after it
-        monkeypatch.setattr(evidence, "_log_evidence", unreachable)
+        assert [call[0].blocks for call in calls] == [2]  # the first hypothesis at both k only
+        forbid_scoring(monkeypatch)
         with pytest.raises(ValueError, match="small: belief shape"):
             k_sweep(counts_of(np.ones((3, 3))), iter([build_uniform(2, name="small")]), (10.0,))
 

@@ -53,7 +53,7 @@ from .ingest import TransitionCounts
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
 _DIRECT = 16  # T: counts up to T are summed term by term (see the module docstring)
-_BLOCK = 2**14  # entries one pass takes on: a tail block, or all k copies of a small count set
+_BLOCK = 2**14  # tail entries `_rising_tail` takes on at a time, so its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,9 @@ def _check_k(k: float, size: int) -> None:
 
 
 def _elicited(k: float | np.ndarray, size: int, beliefs: np.ndarray) -> np.ndarray:
-    return 1.0 + k * size * beliefs  # the one home of the elicitation rule's arithmetic
+    alpha = k * size * beliefs  # the one home of the elicitation rule's arithmetic
+    alpha += 1.0
+    return alpha
 
 
 def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
@@ -121,33 +123,49 @@ def _counts(n: np.ndarray) -> _Counts:
 
 def _series(z: np.ndarray) -> np.ndarray:
     """lnG(z) - (z - 1/2) ln z + z - ln sqrt(2 pi), to the z^-7 term of the Stirling series."""
-    r = 1.0 / z
+    r = np.divide(1.0, z)
     r2 = r * r
-    return r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680)))
+    s = r2 / 1680
+    np.subtract(1 / 1260, s, out=s)
+    s *= r2
+    np.subtract(1 / 360, s, out=s)
+    s *= r2
+    np.subtract(1 / 12, s, out=s)
+    s *= r
+    return s
+
+
+def _past_head(y: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where y < T the series cannot start: there y and m step past the first T terms, in
+    place. Returns those entries and their y before the step."""
+    small = np.flatnonzero(y < _DIRECT)
+    first = y.take(small)
+    y[small] = first + _DIRECT
+    m[small] -= _DIRECT
+    return small, first
 
 
 def _rising_tail(x: np.ndarray, n: _Counts) -> np.ndarray:
-    """lnG(x + n) - lnG(x) at the tail entries, n > T.
+    """lnG(x + n) - lnG(x) at the tail entries, n > T, in the log1p form of the Stirling series.
 
-    The series needs x >= T, so where x < T the first T terms come first, as the log of their
-    product. Heavy cells make this the costly loop at large trip counts, so it runs a block at
-    a time, mostly in place, to keep its temporaries in cache.
+    Where x < T the first T terms come first, as the log of their product. Heavy cells make this
+    the costly loop at large trip counts, so it runs a block at a time, mostly in place.
     """
     out = np.empty(n.tail.size)
     for lo in range(0, n.tail.size, _BLOCK):
         y, m = x.take(n.tail[lo:lo + _BLOCK]), n.tail_n[lo:lo + _BLOCK].copy()
-        small = np.flatnonzero(y < _DIRECT)
-        first = y.take(small)
+        small, first = _past_head(y, m)
         u = first * (first + (_DIRECT - 1))  # (y + i)(y + T-1-i) = u + i(T-1-i)
         product = u.copy()  # < (2T)^T, so it cannot overflow
         for i in range(1, _DIRECT // 2):
             product *= u + i * (_DIRECT - 1 - i)
-        y[small] += _DIRECT
-        m[small] -= _DIRECT
         z = y + m
-        value = np.log1p(m / y)
+        value = np.divide(m, y)
+        np.log1p(value, out=value)
         value *= y - 0.5
-        m *= np.log(z) - 1.0
+        log_z = np.log(z)
+        log_z -= 1.0
+        m *= log_z
         value += m
         value += _series(z)
         value -= _series(y)
@@ -156,23 +174,24 @@ def _rising_tail(x: np.ndarray, n: _Counts) -> np.ndarray:
     return out
 
 
-def _log_rising(x: np.ndarray, n: _Counts) -> np.ndarray:
-    """lnG(x + n) - lnG(x) per entry, for x >= 1 and integer counts n >= 0."""
-    out = np.bincount(n.entry, weights=np.log(x.take(n.entry) + n.offset), minlength=n.n.size)
-    out = out.astype(float, copy=False)  # bincount of no terms is an int64 array
-    out[n.tail] = _rising_tail(x, n)
-    return out
-
-
 def _block_sums(values: np.ndarray, blocks: int) -> np.ndarray:
     """Sums of ``blocks`` equal runs of ``values``, one run per copy of a stacked count set."""
     return values.reshape(blocks, -1).sum(axis=1)
 
 
-def _log_rising_sums(x: np.ndarray, n: _Counts, blocks: int) -> np.ndarray:
-    """The block sums of `_log_rising`, without placing each entry."""
-    return (_block_sums(np.log(x.take(n.entry) + n.offset), blocks)
-            + _block_sums(_rising_tail(x, n), blocks))
+def _log_rising(x: np.ndarray, n: _Counts, blocks: int = 0) -> np.ndarray:
+    """lnG(x + n) - lnG(x) for x >= 1 and integer counts n >= 0: per entry, or the sums of
+    ``blocks`` copies of a count set when ``blocks`` is given."""
+    terms = x.take(n.entry)
+    terms += n.offset
+    np.log(terms, out=terms)
+    tail = _rising_tail(x, n)
+    if blocks:  # each copy's terms, and its tail entries, are equal runs of the two
+        return _block_sums(terms, blocks) + _block_sums(tail, blocks)
+    out = np.bincount(n.entry, weights=terms, minlength=n.n.size)
+    out = out.astype(float, copy=False)  # bincount of no terms is an int64 array
+    out[n.tail] = tail
+    return out
 
 
 def _log_rising_ratios(a: np.ndarray, gap: np.ndarray, n: _Counts, blocks: int) -> np.ndarray:
@@ -181,16 +200,15 @@ def _log_rising_ratios(a: np.ndarray, gap: np.ndarray, n: _Counts, blocks: int) 
     Every term ln((a + i) / (b + i)) = -log1p(gap / (a + i)) is <= 0, so nothing cancels. Above
     T the Stirling forms of the two rising factorials are subtracted term by term, in log1p form.
     """
-    direct = -np.log1p(gap.take(n.entry) / (a.take(n.entry) + n.offset))
     y, d, m = a.take(n.tail), gap.take(n.tail), n.tail_n.copy()
-    shift = (y < _DIRECT) * float(_DIRECT)  # the first T terms where the series cannot start
-    head = -np.log1p(d[:, None] / (y[:, None] + np.arange(_DIRECT))).sum(axis=1) * (shift > 0)
-    y += shift
-    m -= shift
+    small, first = _past_head(y, m)
+    head = -np.log1p(d.take(small)[:, None] / (first[:, None] + np.arange(_DIRECT))).sum(axis=1)
     z = y + d
-    tail = (head + (y - 0.5) * np.log1p(d / (z + m) * (m / y)) - m * np.log1p(d / (y + m))
+    tail = ((y - 0.5) * np.log1p(d / (z + m) * (m / y)) - m * np.log1p(d / (y + m))
             - d * np.log1p(m / z) + (_series(y + m) - _series(y) - (_series(z + m) - _series(z))))
-    return _block_sums(direct, blocks) + _block_sums(tail, blocks)
+    tail[small] += head
+    terms = -np.log1p(gap.take(n.entry) / (a.take(n.entry) + n.offset))
+    return _block_sums(terms, blocks) + _block_sums(tail, blocks)
 
 
 class _CountSet(NamedTuple):
@@ -198,10 +216,10 @@ class _CountSet(NamedTuple):
     row's lead cell, the cell with its most trips, and the other cells."""
 
     blocks: int
-    lead: np.ndarray  # flat indices into the stacked counts of the lead cells ...
-    lead_row: np.ndarray  # ... and their rows, one per row with trips
+    lead: np.ndarray  # flat indices of the lead cells in one count set ...
+    lead_row: np.ndarray  # ... and their rows in the stacked rows, one per row with trips
     lead_n: _Counts
-    rest: np.ndarray  # flat indices of the other observed cells
+    rest: np.ndarray  # flat indices of the other observed cells in one count set
     rest_n: _Counts
     row_lead: np.ndarray  # each row's lead count, as a float (0 for a row without trips)
     rows: _Counts  # each row's trips outside its lead cell
@@ -214,12 +232,9 @@ def _count_set(counts: np.ndarray, blocks: int = 1) -> _CountSet:
     row_lead = np.zeros(counts.shape[0], dtype=counts.dtype)
     row_lead[busy] = counts.take(lead)
 
-    def stacked(index: np.ndarray, step: int) -> np.ndarray:
-        return (np.arange(blocks)[:, None] * step + index).ravel()
-
-    return _CountSet(blocks, stacked(lead, counts.size), stacked(busy, counts.shape[0]),
-                     _counts(np.tile(counts.take(lead), blocks)), stacked(rest, counts.size),
-                     _counts(np.tile(counts.take(rest), blocks)),
+    stacked_busy = (np.arange(blocks)[:, None] * counts.shape[0] + busy).ravel()
+    return _CountSet(blocks, lead, stacked_busy, _counts(np.tile(counts.take(lead), blocks)),
+                     rest, _counts(np.tile(counts.take(rest), blocks)),
                      np.tile(row_lead, blocks).astype(float),
                      _counts(np.tile(counts.sum(axis=1) - row_lead, blocks)))
 
@@ -234,7 +249,7 @@ def _log_evidence(s: _CountSet, lead_alpha: np.ndarray, rest_alpha: np.ndarray,
     """
     gap = row_alpha.take(s.lead_row) - lead_alpha
     return (_log_rising_ratios(lead_alpha, gap, s.lead_n, s.blocks)
-            + _log_rising_sums(rest_alpha, s.rest_n, s.blocks) - _block_sums(row_terms, s.blocks))
+            + _log_rising(rest_alpha, s.rest_n, s.blocks) - _block_sums(row_terms, s.blocks))
 
 
 def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
@@ -280,41 +295,25 @@ def k_sweep(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
         for h in catalog:
             _check_shape(h, shape)
     scored: list[list[list[tuple[str, float]]]] = [[[] for _ in ks] for _ in stack]
-
-    def unit(s: _CountSet, group: Sequence[float], out: list) -> tuple:
-        """A layout, its cells' flat indices in one count set with the k of their copies,
-        each row's sum in exact arithmetic per copy (|S| (1 + k) for a non-zero belief row,
-        |S| for a zero one), and the lists its scores go to."""
-        at_k = np.asarray(group, dtype=float)
-        cells = [(flat % size**2, at_k.take(flat // size**2)) for flat in (s.lead, s.rest)]
-        return (s, *cells, np.repeat([size + k * size for k in group], size),
-                np.full(len(group) * size, float(size)), out)
-
-    # A small count set is laid out once per k, so that one call scores a hypothesis at every
-    # k; a larger one is scored k by k, which keeps its arrays within about _BLOCK entries.
-    units = []
-    for counts, out in zip(stack, scored):
-        s = _count_set(counts)
-        if len(ks) * (s.lead.size + s.rest.size + s.lead_n.entry.size + s.rest_n.entry.size) \
-                <= _BLOCK:
-            units.append(unit(_count_set(counts, len(ks)), ks, out))
-        else:
-            units += [unit(s, (k,), [at]) for k, at in zip(ks, out)]
+    # each count set is laid out once per k, so that one call scores a hypothesis at every k
+    units = [_count_set(counts, len(ks)) for counts in stack]
+    at_k = np.asarray(ks, dtype=float)[:, None]  # each copy's k, against one set's cells
+    # each row's sum in exact arithmetic: |S| (1 + k) for a non-zero belief row, |S| for a zero one
+    full = np.repeat([size + k * size for k in ks], size)
+    empty = np.full(len(ks) * size, float(size))
     rows: list[tuple[np.ndarray, ...]] = []
     hypotheses = 0
     for h in catalog:  # alpha as in elicit_prior at the observed cells
         beliefs = _row_normalized(_check_shape(h, shape).q)
         if not rows:  # once the first hypothesis has passed its check
             rows = [tuple(_log_rising(sums + s.row_lead, s.rows) for sums in (full, empty))
-                    for s, _, _, full, empty, _ in units]
-        believed = beliefs.any(axis=1)
-        for (s, (lead, lead_k), (rest, rest_k), full, empty, out), (at_full, at_empty) in \
-                zip(units, rows):
-            copies = np.tile(believed, s.blocks)
-            values = _log_evidence(s, _elicited(lead_k, size, beliefs.take(lead)),
-                                   _elicited(rest_k, size, beliefs.take(rest)),
-                                   np.where(copies, full, empty),
-                                   np.where(copies, at_full, at_empty))
+                    for s in units]
+        believed = np.tile(beliefs.any(axis=1), len(ks))
+        for s, (at_full, at_empty), out in zip(units, rows, scored):
+            values = _log_evidence(s, _elicited(at_k, size, beliefs.take(s.lead)).ravel(),
+                                   _elicited(at_k, size, beliefs.take(s.rest)).ravel(),
+                                   np.where(believed, full, empty),
+                                   np.where(believed, at_full, at_empty))
             for value, at in zip(values.tolist(), out):
                 at.append((h.name, value))
         hypotheses += 1

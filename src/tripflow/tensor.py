@@ -7,8 +7,11 @@ component is one spatio-temporal mobility cluster.
 
 Storage is sparse (coordinate list, the COO layout of Bader & Kolda 2007):
 real trip tensors are mostly empty and synthetic test fixtures stay instant.
-Dense slices are materialized only while evaluating the reconstruction
-error, in blocks of whole hours of at most 2^16 cells.
+The decomposition takes each sweep's error from the CP fit identity
+err^2 = |X|^2 - 2<X, M> + s'(G_t * G_p * G_d)s, out of products its update
+already holds. Dense model slices, in blocks of whole hours of at most 2^16
+cells, are built only by ``reconstruction_error`` and where a fit is close
+enough for the identity to cancel.
 """
 
 from __future__ import annotations
@@ -111,7 +114,12 @@ class NtfOptions:
 
 @dataclass
 class DecompositionTrace:
-    """Objective history; errors[0] is the error of the random initialization."""
+    """Objective history; errors[0] is the error of the random initialization.
+
+    Each entry is the Frobenius error, from the CP fit identity or, near an exact
+    fit, from the dense slices; the two agree to about 1e-12 relative, so the
+    history is non-increasing to within that rounding.
+    """
 
     errors: list[float] = field(default_factory=list)
     iterations: int = 0
@@ -145,14 +153,17 @@ def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 UPDATE_FLOOR = 1e-12  # floor of the multiplicative update's denominator: no division by 0
 _BLOCK_CELLS = 2 ** 16  # dense residual cells per block of hours: 512 KB, about L2-sized
+# Below this fraction of |X|^2 the identity's err^2 has cancelled to a relative error of
+# about eps / 1e-4 = 2e-12, so the error comes from the slices instead.
+_IDENTITY_FLOOR = 1e-4
 
 
 def _error_from_slices(coords, vals, dims, factors, scale) -> float:
     """Exact Frobenius reconstruction error, accumulated hour slice by hour slice.
 
     Each hour's dense model slice, minus that hour's entries in place, is the
-    residual; its squared sum is cancellation-free, so the recorded objective
-    trace stays monotone to within float noise that shrinks with the error.
+    residual; its squared sum is cancellation-free, so the error keeps its
+    relative precision however close the fit.
     Hours go in blocks of at most ``_BLOCK_CELLS`` cells, each hour still summed on its own.
     """
     hours, pickups, dropoffs = coords  # sorted by hour and unique, as MobilityTensor keeps them
@@ -168,6 +179,22 @@ def _error_from_slices(coords, vals, dims, factors, scale) -> float:
         for hour_err2 in block.reshape(len(block), -1).sum(axis=1).tolist():
             err2 += hour_err2  # one add per hour, in order: builtin sum() compensates on 3.12+
     return float(np.sqrt(max(err2, 0.0)))
+
+
+def _error_from_gram(coords, vals, dims, factors, scale, grams, norm2, dropoff_mttkrp) -> float:
+    """Frobenius reconstruction error from the CP fit identity (Bader & Kolda, SISC 2007).
+
+    err^2 = |X|^2 - 2<X, M> + |M|^2, with |X|^2 = ``norm2``, <X, M> from the
+    dropoff-mode MTTKRP of the time and pickup factors, and |M|^2 =
+    s'(G_t * G_p * G_d)s from the factor Grams ``grams``. Where err^2 falls
+    below ``_IDENTITY_FLOOR`` * |X|^2 the difference has lost too many digits
+    to cancellation, and the error comes from ``_error_from_slices`` instead.
+    """
+    inner = ((dropoff_mttkrp * factors[2]) @ scale).sum()
+    err2 = norm2 - 2.0 * inner + scale @ (grams[0] * grams[1] * grams[2]) @ scale
+    if err2 < _IDENTITY_FLOOR * norm2:
+        return _error_from_slices(coords, vals, dims, factors, scale)
+    return float(np.sqrt(err2))
 
 
 def reconstruction_error(x: MobilityTensor, f: FactorSet) -> float:
@@ -187,7 +214,14 @@ def ntf_decompose(x: MobilityTensor, r: int,
     MTTKRP to the Gram-matrix denominator (floored at ``UPDATE_FLOOR``), and
     the columns are L1-renormalized with the magnitude swept back into scale.
     Per-mode updates never increase the squared-Frobenius objective, so the
-    recorded error trace is non-increasing. Deterministic for a fixed seed.
+    recorded error trace is non-increasing to within rounding. Deterministic
+    for a fixed seed.
+
+    Each recorded error comes from the CP fit identity (``_error_from_gram``),
+    whose inner product is the sweep's last, dropoff-mode MTTKRP taken with the
+    updated factors and scale, so no error costs a pass over dense slices.
+    Near an exact fit, where the identity cancels, the error is the slice
+    evaluator's, bit for bit what ``reconstruction_error`` returns.
 
     Stops when the relative error change drops below ``opts.rel_tol`` or
     after ``opts.max_iters`` sweeps. r above min(dims) is allowed but flagged
@@ -213,10 +247,12 @@ def ntf_decompose(x: MobilityTensor, r: int,
         scale *= norms
 
     trace = DecompositionTrace(overcomplete=r > min(dims))
-    trace.errors.append(_error_from_slices(coords, vals, dims, factors, scale))
+    norm2 = vals @ vals
     norm_x = x.frobenius_norm()
-
     grams = [f.T @ f for f in factors]
+    trace.errors.append(_error_from_gram(coords, vals, dims, factors, scale, grams, norm2,
+                                         _mttkrp(coords, vals, factors, 2, dims)))
+
     for iteration in range(opts.max_iters):
         for mode in range(3):
             scaled = factors[mode] * scale
@@ -227,7 +263,8 @@ def ntf_decompose(x: MobilityTensor, r: int,
             factors[mode], scale = _normalize_columns(scaled)
             grams[mode] = factors[mode].T @ factors[mode]
 
-        err = _error_from_slices(coords, vals, dims, factors, scale)
+        # numerator: the dropoff mode's MTTKRP, of this sweep's time and pickup factors
+        err = _error_from_gram(coords, vals, dims, factors, scale, grams, norm2, numerator)
         trace.errors.append(err)
         trace.iterations = iteration + 1
         prev = trace.errors[-2]

@@ -234,6 +234,19 @@ KERNEL_CASES = [((4, 3, 3), 1, 1, 0), ((6, 4, 5), 10, 1, 1), ((6, 4, 5), 30, 3, 
                 ((168, 30, 30), 3000, 3, 5), ((3, 260, 260), 800, 2, 6)]
 
 
+# The identity's error lies within about 3e-14 * |X| of the slice error, and within
+# 2.5e-12 of it relatively, at err^2 >= 1e-4 |X|^2; the bounds leave a margin over that.
+TRACE_TOL = 1e-12
+IDENTITY_RTOL = 1e-11
+
+
+def assert_trace_near(errors, oracle_errors, x):
+    """Each sweep's error is within TRACE_TOL * |X| of the oracle's slice error."""
+    assert len(errors) == len(oracle_errors)
+    deviation = np.abs(np.subtract(errors, oracle_errors))
+    assert (deviation <= TRACE_TOL * x.frobenius_norm()).all(), deviation.max()
+
+
 class TestKernelsMatchOracles:
     @pytest.mark.parametrize("dims, nnz, r, seed", KERNEL_CASES)
     def test_mttkrp(self, dims, nnz, r, seed):
@@ -265,6 +278,51 @@ class TestKernelsMatchOracles:
         assert tensor._error_from_slices(coords, vals, dims, factors, scale) == \
             dense_slice_error(views, vals, dims, factors, scale)
 
+    @pytest.mark.parametrize("dims, nnz, r, seed", KERNEL_CASES)
+    def test_error_from_gram(self, dims, nnz, r, seed, monkeypatch):
+        """The fit identity, from the dropoff MTTKRP and the Grams, gives the slice error."""
+        x, factors, scale = random_coo(dims, nnz, r, seed)
+        coords, vals = x.entries.T.copy(), x.values
+        monkeypatch.setattr(tensor, "_error_from_slices", None)  # far from a fit: no fallback
+        got = tensor._error_from_gram(coords, vals, dims, factors, scale,
+                                      [f.T @ f for f in factors], vals @ vals,
+                                      tensor._mttkrp(coords, vals, factors, 2, dims))
+        assert got == pytest.approx(dense_slice_error(coords, vals, dims, factors, scale),
+                                    rel=IDENTITY_RTOL, abs=0)
+
+    @pytest.mark.parametrize("size", [288, 1200])
+    def test_decompose_takes_no_slices(self, size, monkeypatch):
+        """Away from an exact fit no sweep builds a dense slice: a count of calls."""
+        rng = np.random.default_rng(size)
+        x = build_tensor(np.column_stack([rng.integers(0, 168, 30_000),
+                                          rng.integers(0, size, (30_000, 2))]), size)
+        calls = []
+        monkeypatch.setattr(tensor, "_error_from_slices", lambda *args: calls.append(args) or
+                            dense_slice_error(*args))
+        _, trace = ntf_decompose(x, 7, NtfOptions(seed=1, max_iters=3, rel_tol=0.0))
+        assert len(trace.errors) == 4 and len(calls) == 0
+
+    @pytest.mark.parametrize("r, opts", [(1, NtfOptions()),
+                                         (2, NtfOptions(seed=11, max_iters=500, rel_tol=0.0))],
+                             ids=["exact_rank", "crosses_floor"])
+    def test_converged_trace_from_slices(self, r, opts, monkeypatch):
+        """Once err^2 < _IDENTITY_FLOOR * |X|^2 each entry is the slice error, bit for bit."""
+        x, _ = rank1_tensor()
+        sliced, slices = [], tensor._error_from_slices
+
+        def spy(*args):
+            sliced.append(slices(*args))
+            assert sliced[-1] == dense_slice_error(*args)
+            return sliced[-1]
+
+        monkeypatch.setattr(tensor, "_error_from_slices", spy)
+        f, trace = ntf_decompose(x, r, opts)
+        near = np.square(trace.errors) < tensor._IDENTITY_FLOOR * (x.values @ x.values)
+        assert 0 < len(sliced) < len(trace.errors)
+        assert near.tolist() == [False] * (len(near) - len(sliced)) + [True] * len(sliced)
+        assert trace.errors[-len(sliced):] == sliced
+        assert trace.errors[-1] == reconstruction_error(x, f)
+
     def test_decompose_matches_oracle_at_city_size(self, city_space):
         """288 tracts: the slice error evaluates one hour per block, as on the ``city`` bench."""
         rng = np.random.default_rng(11)
@@ -276,7 +334,8 @@ class TestKernelsMatchOracles:
         factors, scale, errors = oracle_decompose(x, 4, opts)
         for mine, theirs in zip((*f.factors(), f.scale), (*factors, scale)):
             assert np.array_equal(mine, theirs)
-        assert trace.errors == errors and len(errors) == 4
+        assert trace.iterations == len(errors) - 1 == 3
+        assert_trace_near(trace.errors, errors, x)
 
     def test_decompose_with_oracle_kernels(self, monkeypatch):
         x, _ = planted_rank3()
@@ -300,4 +359,5 @@ class TestKernelsMatchOracles:
         factors, scale, errors = oracle_decompose(x, 3, opts)
         for mine, theirs in zip((*f.factors(), f.scale), (*factors, scale)):
             assert np.array_equal(mine, theirs)
-        assert trace.errors == errors
+        assert trace.iterations == len(errors) - 1
+        assert_trace_near(trace.errors, errors, x)

@@ -349,10 +349,7 @@ class TestCli:
         ([], "[catalog]\nvenue_category_keys = venues_all venues_food\n",
          "census_indicator_keys repeats the key(s) venues_all"),
         ([], "[catalog]\ncensus_indicator_keys = income income\n", "repeats the key(s) income"),
-    ], ids=["repeated_k_flag", "empty_k_grid", "repeated_sigma", "infinite_k_flag",
-            "negative_seed", "zero_max_iters", "nan_rel_tol", "inf_rel_tol", "negative_rel_tol",
-            "nan_epsilon", "negative_epsilon", "zero_epsilon", "sigma_label_repeat",
-            "landmark_repeat", "venue_key_is_census_key", "census_key_repeat"])
+    ])
     def test_bad_grid_fails_before_any_stage(self, mini_fixture, tmp_path, capsys,
                                              args, text, key):
         cfg = tmp_path / "grid.cfg"

@@ -10,6 +10,7 @@ synthetic fixture for end-to-end runs without real data.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -102,10 +103,11 @@ def run_extract_clusters(cfg: PipelineConfig) -> dict:
         write_membership(out / f"cluster_{c}_membership.csv", factors, c, hours, dropoffs)
         counts = cluster_counts(trips, hours, dropoffs, len(space))
         with replaced(out / f"cluster_{c}_counts.csv") as fh:
-            np.savetxt(fh, counts.counts, fmt="%d", delimiter=",")
+            csv.writer(fh, lineterminator="\n").writerows(counts.counts.tolist())
         sizes[f"cluster_{c}"] = counts.total
+    overall = transition_counts(trips, len(space))
     with replaced(out / "overall_counts.csv") as fh:  # last: rank runs only once it exists
-        np.savetxt(fh, transition_counts(trips, len(space)).counts, fmt="%d", delimiter=",")
+        csv.writer(fh, lineterminator="\n").writerows(overall.counts.tolist())
     return {"clusters": sizes, "n": cfg.n}
 
 
@@ -129,12 +131,11 @@ def run_rank(cfg: PipelineConfig) -> dict:
             loaded = np.loadtxt(path, dtype=np.int64, delimiter=",", ndmin=2)
             if loaded.shape != counts.shape:
                 raise ValueError(f"expected a {len(space)}x{len(space)} matrix, got {loaded.shape}")
-            TransitionCounts(counts=loaded, total=int(loaded.sum()))  # negative counts fail here
+            TransitionCounts(counts=loaded)  # negative counts fail here
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         counts[...] = loaded
-    results = k_sweep(TransitionCounts(counts=stack, total=int(stack.sum())),
-                      iter_catalog(space, cfg.catalog), cfg.k_grid)
+    results = k_sweep(TransitionCounts(counts=stack), iter_catalog(space, cfg.catalog), cfg.k_grid)
     labels = [path.name.removesuffix("_counts.csv") for path in count_files]
     block = len(results) // len(labels)  # one block of len(k_grid) rankings per count set
     write_rankings(out / "rankings.csv", [(label, result) for i, label in enumerate(labels)

@@ -61,7 +61,6 @@ class PriorMatrix:
     """Dirichlet pseudo-count rows elicited from one belief matrix."""
 
     alpha: np.ndarray
-    k: float
 
     def __post_init__(self):
         if (self.alpha < 1.0).any() or not np.isfinite(self.alpha).all():
@@ -100,7 +99,7 @@ def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     the prior stays proper. k = 0 yields alpha identically 1.
     """
     _check_k(k, q.q.shape[0])
-    return PriorMatrix(alpha=_elicited(k, q.q.shape[0], _row_normalized(q.q)), k=k)
+    return PriorMatrix(alpha=_elicited(k, q.q.shape[0], _row_normalized(q.q)))
 
 
 class _Counts(NamedTuple):

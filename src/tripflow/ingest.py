@@ -60,14 +60,16 @@ def trip_rows(trips: TripRows, size: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TransitionCounts:
     counts: np.ndarray
-    total: int
 
     def __post_init__(self):
-        if int(self.counts.sum()) != self.total:
-            raise ValueError("total does not match entry sum")
         if (self.counts < 0).any():
             raise ValueError("negative transition count")
         self.counts.setflags(write=False)
+
+    @property
+    def total(self) -> int:
+        """The number of trips counted: the sum of every cell."""
+        return int(self.counts.sum())
 
 
 def clean_trips(
@@ -111,7 +113,7 @@ def transition_counts(trips: TripRows, size: int) -> TransitionCounts:
     """Count pickup-to-dropoff transitions into a |S| x |S| integer matrix."""
     rows = trip_rows(trips, size)
     counts = np.bincount(rows[:, 1] * size + rows[:, 2], minlength=size * size)
-    return TransitionCounts(counts=counts.reshape(size, size), total=len(rows))
+    return TransitionCounts(counts=counts.reshape(size, size))
 
 
 def load_raw_trips(path) -> tuple[np.ndarray, int]:

@@ -17,7 +17,6 @@ enough for the identity to cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -81,13 +80,14 @@ class FactorSet:
     column with zero scale.
     """
 
-    r: int
     time: np.ndarray
     pickup: np.ndarray
     dropoff: np.ndarray
     scale: np.ndarray
 
     def __post_init__(self):
+        if self.scale.ndim != 1 or (self.scale < 0).any():
+            raise ValueError("scale must be a non-negative r-vector")
         for name, m in (("time", self.time), ("pickup", self.pickup), ("dropoff", self.dropoff)):
             if m.shape[1] != self.r:
                 raise ValueError(f"{name} factor has {m.shape[1]} columns, expected r={self.r}")
@@ -97,9 +97,12 @@ class FactorSet:
             if np.abs(colsums - 1.0).max() > 1e-9:
                 raise ValueError(f"{name} factor columns are not L1-normalized")
             m.setflags(write=False)
-        if self.scale.shape != (self.r,) or (self.scale < 0).any():
-            raise ValueError("scale must be a non-negative r-vector")
         self.scale.setflags(write=False)
+
+    @property
+    def r(self) -> int:
+        """The number of components: one per scale entry."""
+        return len(self.scale)
 
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.time, self.pickup, self.dropoff
@@ -122,9 +125,13 @@ class DecompositionTrace:
     """
 
     errors: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     overcomplete: bool = False
+
+    @property
+    def iterations(self) -> int:
+        """The number of sweeps run: one error per sweep after the initial one."""
+        return len(self.errors) - 1
 
 
 def _mttkrp(coords, vals, factors, mode, dims):
@@ -253,7 +260,7 @@ def ntf_decompose(x: MobilityTensor, r: int,
     trace.errors.append(_error_from_gram(coords, vals, dims, factors, scale, grams, norm2,
                                          _mttkrp(coords, vals, factors, 2, dims)))
 
-    for iteration in range(opts.max_iters):
+    for _ in range(opts.max_iters):
         for mode in range(3):
             scaled = factors[mode] * scale
             numerator = _mttkrp(coords, vals, factors, mode, dims)
@@ -266,15 +273,12 @@ def ntf_decompose(x: MobilityTensor, r: int,
         # numerator: the dropoff mode's MTTKRP, of this sweep's time and pickup factors
         err = _error_from_gram(coords, vals, dims, factors, scale, grams, norm2, numerator)
         trace.errors.append(err)
-        trace.iterations = iteration + 1
         prev = trace.errors[-2]
         if abs(prev - err) <= opts.rel_tol * norm_x:  # change in relative error
             trace.converged = True
             break
 
-    factor_set = FactorSet(r=r, time=factors[0], pickup=factors[1],
-                           dropoff=factors[2], scale=scale)
-    return factor_set, trace
+    return FactorSet(*factors, scale=scale), trace
 
 
 # --- serialization -----------------------------------------------------------
@@ -283,8 +287,7 @@ _MODE_FILES = {"time": "factors_time.csv", "pickup": "factors_pickup.csv",
                "dropoff": "factors_dropoff.csv"}
 
 
-def save_factors(directory, f: FactorSet, *, seed: int,
-                 trace: Optional[DecompositionTrace] = None) -> None:
+def save_factors(directory, f: FactorSet, *, seed: int, trace: DecompositionTrace) -> None:
     """Write each mode's CSV, the scale, the error trace, then the sidecar marking the set whole."""
     (directory / "factors_meta.json").unlink(missing_ok=True)
     for mode, filename in _MODE_FILES.items():
@@ -292,19 +295,11 @@ def save_factors(directory, f: FactorSet, *, seed: int,
                   ([i, *map(repr, row)] for i, row in enumerate(getattr(f, mode).tolist())))
     write_csv(directory / "factors_scale.csv", ["component", "scale"],
               ([c, repr(s)] for c, s in enumerate(f.scale.tolist())))
-    meta = {"r": f.r, "seed": seed}
-    if trace is None:
-        (directory / "factors_trace.csv").unlink(missing_ok=True)  # no stale trace in the set
-    else:
-        write_csv(directory / "factors_trace.csv", ["sweep", "error"],
-                  enumerate(map(repr, trace.errors)))  # sweep 0: the random initialization
-        meta.update({
-            "iterations": trace.iterations,
-            "final_error": trace.errors[-1],
-            "converged": trace.converged,
-            "overcomplete": trace.overcomplete,
-        })
-    write_json(directory / "factors_meta.json", meta)
+    write_csv(directory / "factors_trace.csv", ["sweep", "error"],
+              enumerate(map(repr, trace.errors)))  # sweep 0: the random initialization
+    write_json(directory / "factors_meta.json", {
+        "r": f.r, "seed": seed, "iterations": trace.iterations, "final_error": trace.errors[-1],
+        "converged": trace.converged, "overcomplete": trace.overcomplete})
 
 
 def load_factors(directory) -> FactorSet:
@@ -313,5 +308,5 @@ def load_factors(directory) -> FactorSet:
     matrices = {mode: np.loadtxt(directory / filename, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
                 for mode, filename in _MODE_FILES.items()}
     scale = np.loadtxt(directory / "factors_scale.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
-    return FactorSet(r=len(scale), time=matrices["time"], pickup=matrices["pickup"],
+    return FactorSet(time=matrices["time"], pickup=matrices["pickup"],
                      dropoff=matrices["dropoff"], scale=scale)

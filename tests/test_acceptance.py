@@ -33,7 +33,7 @@ def _report(number: int, name: str, ok: bool) -> None:
 
 def _counts(matrix) -> TransitionCounts:
     counts = np.asarray(matrix, dtype=np.int64)
-    return TransitionCounts(counts=counts, total=int(counts.sum()))
+    return TransitionCounts(counts=counts)
 
 
 def _polya(counts: np.ndarray, alpha: np.ndarray) -> float:
@@ -52,7 +52,7 @@ def _random_counts(size: int, seed: int, mean: float = 0.1) -> TransitionCounts:
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean, size=(size, size)).astype(np.int64)
     np.fill_diagonal(counts, 0)
-    return TransitionCounts(counts=counts, total=int(counts.sum()))
+    return TransitionCounts(counts=counts)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def test_criterion_1_evidence_polya_oracle():
         for _ in range(int(rng.integers(0, 21))):
             counts[rng.integers(0, size), rng.integers(0, size)] += 1
         alpha = 1.0 + 5.0 * rng.random((size, size))
-        value = log_evidence(_counts(counts), PriorMatrix(alpha=alpha, k=1.0))
+        value = log_evidence(_counts(counts), PriorMatrix(alpha=alpha))
         worst = max(worst, abs(value - _polya(counts, alpha)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -90,7 +90,7 @@ def test_criterion_1_evidence_polya_oracle():
 
 def test_criterion_2_closed_form_fixture():
     value = log_evidence(_counts([[0, 2], [0, 0]]),
-                         PriorMatrix(alpha=np.ones((2, 2)), k=0.0))
+                         PriorMatrix(alpha=np.ones((2, 2))))
     ok = abs(value - math.log(1 / 3)) <= 1e-9
     _report(2, "closed-form-two-state-fixture", ok)
     assert value == pytest.approx(math.log(1 / 3), abs=1e-9)

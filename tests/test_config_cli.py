@@ -1,6 +1,7 @@
 import builtins
 import configparser
 import csv
+import io
 import json
 import os
 import shutil
@@ -24,7 +25,7 @@ from tripflow.hypotheses import (CatalogConfig, CatalogConfigError, WeightVector
 from tripflow.ingest import (TransitionCounts, load_clean_trips, transition_counts,
                              write_clean_trips)
 from tripflow.synth import demo_landmarks, generate_from_hypothesis, write_trips_file
-from tripflow.tensor import FactorSet, save_factors
+from tripflow.tensor import DecompositionTrace, FactorSet, save_factors
 
 from tripflow.geo import HOURS_PER_WEEK
 
@@ -421,6 +422,25 @@ class TestCountSets:
         overall = np.loadtxt(out / "overall_counts.csv", dtype=np.int64, delimiter=",")
         np.testing.assert_array_equal(overall, expected)
 
+    def test_count_files_are_savetxt_bytes(self, mini_copy, monkeypatch):
+        """Count files keep the bytes np.savetxt(fmt="%d") wrote, counts above 2^31 included."""
+        counts = np.zeros((20, 20), dtype=np.int64)
+        counts[0, 1], counts[3, 4], counts[19, 0] = 7, 12345, 2**31 + 5
+
+        def made(*args):
+            return TransitionCounts(counts=counts.copy())
+
+        monkeypatch.setattr(tripflow.cli, "cluster_counts", made)
+        monkeypatch.setattr(tripflow.cli, "transition_counts", made)
+        assert main(["extract-clusters", "--config", str(mini_copy)]) == 0
+        expected = io.StringIO()
+        np.savetxt(expected, counts, fmt="%d", delimiter=",")
+        out = mini_copy.parent / "out"
+        paths = [out / "overall_counts.csv", *out.glob("cluster_*_counts.csv")]
+        assert len(paths) == 1 + load_config(mini_copy).r
+        for path in paths:
+            assert path.read_bytes() == expected.getvalue().encode("ascii")
+
     def test_rank_reads_no_trips(self, mini_copy):
         out = mini_copy.parent / "out"
         assert main(["rank", "--config", str(mini_copy)]) == 0
@@ -473,8 +493,8 @@ class TestCountSets:
         rng = np.random.default_rng(3)
         time, pickup, dropoff = (m / m.sum(axis=0) for m in
                                  (rng.random((dim, 2)) for dim in (HOURS_PER_WEEK, 5, 5)))
-        save_factors(out, FactorSet(r=2, time=time, pickup=pickup, dropoff=dropoff,
-                                    scale=np.ones(2)), seed=1)
+        save_factors(out, FactorSet(time=time, pickup=pickup, dropoff=dropoff, scale=np.ones(2)),
+                     seed=1, trace=DecompositionTrace(errors=[1.0]))
         assert main(["extract-clusters", "--config", str(mini_copy)]) == 1
         err = capsys.readouterr().err
         assert "(168, 5, 5)" in err and "(168, 20, 20)" in err
@@ -531,7 +551,7 @@ class TestStreamedRank:
         rows = []
         for path in [out / "overall_counts.csv", *sorted(out.glob("cluster_*_counts.csv"))]:
             counts = np.loadtxt(path, dtype=np.int64, delimiter=",")
-            n = TransitionCounts(counts=counts, total=int(counts.sum()))
+            n = TransitionCounts(counts=counts)
             rows += [(path.name.removesuffix("_counts.csv"), r)
                      for r in k_sweep(n, catalog, cfg.k_grid)]
         write_rankings(tmp_path / "per_set.csv", rows)

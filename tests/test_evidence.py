@@ -33,7 +33,7 @@ from conftest import dense_log_evidence, exact_log_evidence, fresh_python
 
 def counts_of(matrix) -> TransitionCounts:
     counts = np.asarray(matrix, dtype=np.int64)
-    return TransitionCounts(counts=counts, total=int(counts.sum()))
+    return TransitionCounts(counts=counts)
 
 
 def assert_close(value: float, dense: float) -> None:
@@ -103,14 +103,14 @@ class TestElicit:
                              ids=["below_one", "infinite", "nan"])
     def test_prior_checks(self, alpha):
         with pytest.raises(ValueError, match="^prior entries must be finite and >= 1$"):
-            PriorMatrix(alpha=np.array(alpha), k=1.0)
+            PriorMatrix(alpha=np.array(alpha))
 
 
 class TestLogEvidence:
     def test_closed_form_fixture(self):
         # 2 states, two observed 0->1 transitions, flat prior: G(2)/G(4)*G(3)/G(1) = 1/3
         n = counts_of([[0, 2], [0, 0]])
-        prior = PriorMatrix(alpha=np.ones((2, 2)), k=0.0)
+        prior = PriorMatrix(alpha=np.ones((2, 2)))
         assert log_evidence(n, prior) == pytest.approx(math.log(1 / 3), abs=1e-9)
 
     def test_zero_counts_give_zero(self):
@@ -120,20 +120,20 @@ class TestLogEvidence:
 
     def test_negative_for_positive_counts(self):
         n = counts_of([[0, 3], [1, 0]])
-        assert log_evidence(n, PriorMatrix(alpha=np.ones((2, 2)) * 2.0, k=1.0)) < 0.0
+        assert log_evidence(n, PriorMatrix(alpha=np.ones((2, 2)) * 2.0)) < 0.0
 
     def test_row_additivity(self):
         full = counts_of([[0, 3], [4, 0]])
         first = counts_of([[0, 3], [0, 0]])
         second = counts_of([[0, 0], [4, 0]])
-        prior = PriorMatrix(alpha=1.0 + np.array([[0.0, 2.0], [3.0, 1.0]]), k=1.0)
+        prior = PriorMatrix(alpha=1.0 + np.array([[0.0, 2.0], [3.0, 1.0]]))
         lhs = log_evidence(full, prior)
         rhs = log_evidence(first, prior) + log_evidence(second, prior)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            log_evidence(counts_of(np.zeros((2, 2))), PriorMatrix(alpha=np.ones((3, 3)), k=0.0))
+            log_evidence(counts_of(np.zeros((2, 2))), PriorMatrix(alpha=np.ones((3, 3))))
 
     def test_polya_oracle_agreement(self):
         rng = np.random.default_rng(404)
@@ -143,7 +143,7 @@ class TestLogEvidence:
             for _ in range(int(rng.integers(0, 21))):
                 counts[rng.integers(0, s), rng.integers(0, s)] += 1
             alpha = 1.0 + 5.0 * rng.random((s, s))
-            lhs = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=1.0))
+            lhs = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha))
             assert lhs == pytest.approx(polya_log_evidence(counts, alpha), abs=1e-9)
 
     def test_agrees_with_dense_formula(self):
@@ -156,7 +156,7 @@ class TestLogEvidence:
             alpha = 1.0 + 10.0 ** rng.uniform(-3.0, 8.0) * rng.random((s, s))
             alpha[rng.random((s, s)) < 0.1] = 1.0
             alpha = np.minimum(alpha, 1e8)
-            value = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=1.0))
+            value = log_evidence(counts_of(counts), PriorMatrix(alpha=alpha))
             assert_near_oracle(value, counts, alpha)
 
     def test_extra_transition_favors_stronger_belief(self):
@@ -400,7 +400,7 @@ def test_stack_sweep_is_concatenated_set_sweeps(case):
     # the batch law: a (C, |S|, |S|) stack scores, bit for bit, as its C count sets one by one
     catalog, ks, count_sets = case
     stack = np.stack([n.counts for n in count_sets])
-    n = TransitionCounts(counts=stack, total=int(stack.sum()))
+    n = TransitionCounts(counts=stack)
     expected = [r for one in count_sets for r in k_sweep(one, catalog, ks)]
     assert k_sweep(n, catalog, ks) == expected
     assert k_sweep(n, iter(catalog), ks) == expected  # a stream scores as the list

@@ -52,7 +52,7 @@ BAYES_FACTOR_BOUND = 1e-12  # times |exact log Bayes factor| on city; measured 5
 
 
 def counts_of(counts: np.ndarray) -> TransitionCounts:
-    return TransitionCounts(counts=counts, total=int(counts.sum()))
+    return TransitionCounts(counts=counts)
 
 
 def instance(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +78,7 @@ def assert_within_bounds_of_exact(seed: int, ks, exact_bound: float) -> None:
         terms = sum(float(np.abs(gammaln(x)).sum()) for x in
                     (row_alpha, row_alpha + row_counts, alpha[seen], alpha[seen] + counts[seen]))
         for value, term_bound, bound in (
-                (log_evidence(counts_of(counts), PriorMatrix(alpha=alpha, k=k)), SCORER_TERMS,
+                (log_evidence(counts_of(counts), PriorMatrix(alpha=alpha)), SCORER_TERMS,
                  SCORER_EXACT),
                 (dense_log_evidence(counts, alpha), TERM_BOUND, exact_bound)):
             error = abs(mpmath.mpf(value) - exact)

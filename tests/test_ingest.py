@@ -137,13 +137,19 @@ class TestTransitionCounts:
         with pytest.raises(IndexError):
             transition_counts([Trip(0, 0, 5)], 3)
 
-    @pytest.mark.parametrize("counts, total, message", [
-        ([[0, 2], [1, 0]], 4, "total does not match entry sum"),
-        ([[0, -1], [1, 0]], 0, "negative transition count"),
-    ], ids=["total", "negative"])
-    def test_checks(self, counts, total, message):
+    @pytest.mark.parametrize("counts, message", [
+        ([[0, -1], [1, 0]], "negative transition count"),
+    ], ids=["negative"])
+    def test_checks(self, counts, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            TransitionCounts(counts=np.array(counts, dtype=np.int64), total=total)
+            TransitionCounts(counts=np.array(counts, dtype=np.int64))
+
+    def test_stack_total_is_its_cell_sum(self):
+        stack = np.arange(48, dtype=np.int64).reshape(3, 4, 4) * 2**28
+        assert TransitionCounts(counts=stack.copy()).total == int(stack.sum()) > 2**32
+        stack[2, 1, 3] = -1
+        with pytest.raises(ValueError, match="^negative transition count$"):
+            TransitionCounts(counts=stack)
 
 
 def _disk_full_midway():

@@ -62,7 +62,7 @@ def rank1_tensor():
 
 def exact_factor_set(t, p, d):
     scale = np.array([t.sum() * p.sum() * d.sum()])
-    return FactorSet(r=1, time=(t / t.sum())[:, None], pickup=(p / p.sum())[:, None],
+    return FactorSet(time=(t / t.sum())[:, None], pickup=(p / p.sum())[:, None],
                      dropoff=(d / d.sum())[:, None], scale=scale)
 
 
@@ -128,6 +128,22 @@ class TestDecompose:
         for m in f.factors():
             assert (m >= 0).all() and np.isfinite(m).all()
             np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-9)
+        assert f.r == len(f.scale) == 2
+
+    @pytest.mark.parametrize("opts, converged", [
+        (NtfOptions(seed=42, max_iters=500), True),
+        (NtfOptions(seed=42, max_iters=4, rel_tol=0.0), False),
+    ], ids=["rel_tol", "max_iters"])
+    def test_iterations_count_the_sweeps(self, monkeypatch, opts, converged):
+        """One MTTKRP per mode per sweep, plus the initial error's: iterations counts sweeps."""
+        x, _ = planted_rank3()
+        calls = []
+        mttkrp = tensor._mttkrp
+        monkeypatch.setattr(tensor, "_mttkrp", lambda *args: calls.append(1) or mttkrp(*args))
+        _, trace = ntf_decompose(x, 3, opts)
+        assert trace.iterations == len(trace.errors) - 1 and len(calls) == 1 + 3 * trace.iterations
+        assert trace.converged is converged
+        assert (trace.iterations < opts.max_iters) is converged
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -136,15 +152,16 @@ class TestDecompose:
     ("pickup", np.array([[np.nan], [1.0]]), "pickup factor entries must be finite and >= 0"),
     ("dropoff", np.array([[0.5], [0.6], [0.0]]), "dropoff factor columns are not L1-normalized"),
     ("scale", np.array([-1.0]), "scale must be a non-negative r-vector"),
-    ("scale", np.ones(2), "scale must be a non-negative r-vector"),
+    ("scale", np.ones((1, 1)), "scale must be a non-negative r-vector"),
+    ("scale", np.ones(2), "time factor has 1 columns, expected r=2"),
 ], ids=["column_count", "negative_entry", "nan_entry", "not_l1", "negative_scale",
-        "scale_shape"])
+        "scale_shape", "scale_length"])
 def test_factor_set_checks(field, value, message):
     parts = {"time": np.full((4, 1), 0.25), "pickup": np.full((2, 1), 0.5),
              "dropoff": np.array([[0.5], [0.5], [0.0]]), "scale": np.ones(1)}
-    FactorSet(r=1, **parts)
+    assert FactorSet(**parts).r == 1
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        FactorSet(r=1, **(parts | {field: value}))
+        FactorSet(**(parts | {field: value}))
 
 
 class TestReconstructionError:
@@ -154,13 +171,13 @@ class TestReconstructionError:
 
     def test_zero_reconstruction_gives_tensor_norm(self):
         x, _ = rank1_tensor()
-        zero = FactorSet(r=1, time=np.full((12, 1), 1 / 12), pickup=np.full((8, 1), 1 / 8),
+        zero = FactorSet(time=np.full((12, 1), 1 / 12), pickup=np.full((8, 1), 1 / 8),
                          dropoff=np.full((9, 1), 1 / 9), scale=np.zeros(1))
         assert reconstruction_error(x, zero) == pytest.approx(x.frobenius_norm(), rel=1e-12)
 
     def test_shape_mismatch(self):
         x, _ = rank1_tensor()
-        bad = FactorSet(r=1, time=np.full((5, 1), 0.2), pickup=np.full((8, 1), 1 / 8),
+        bad = FactorSet(time=np.full((5, 1), 0.2), pickup=np.full((8, 1), 1 / 8),
                         dropoff=np.full((9, 1), 1 / 9), scale=np.ones(1))
         with pytest.raises(ValueError):
             reconstruction_error(x, bad)
@@ -188,8 +205,6 @@ def test_trace_written_before_meta_sidecar(tmp_path, monkeypatch):
     assert rows[0] == ["sweep", "error"]
     assert [int(s) for s, _ in rows[1:]] == list(range(trace.iterations + 1))
     assert [float(e) for _, e in rows[1:]] == trace.errors
-    save_factors(tmp_path, f, seed=5)  # a set saved without a trace keeps no stale one
-    assert not (tmp_path / "factors_trace.csv").exists()
 
     def interrupted(path, data):
         raise OSError("disk full")

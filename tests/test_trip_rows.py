@@ -34,7 +34,7 @@ def random_factor_set(size: int, seed: int) -> FactorSet:
     rng = np.random.default_rng(seed)
     modes = [rng.random((dim, 2)) for dim in (HOURS_PER_WEEK, size, size)]
     time, pickup, dropoff = (m / m.sum(axis=0) for m in modes)
-    return FactorSet(r=2, time=time, pickup=pickup, dropoff=dropoff, scale=np.ones(2))
+    return FactorSet(time=time, pickup=pickup, dropoff=dropoff, scale=np.ones(2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -73,8 +73,13 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return float(haversine_km(a.lat, a.lon, b.lat, b.lon))
 
 
-def hour_of_week(t: datetime) -> int:
-    """Map a local timestamp to its hour-of-week slot, 0 = Monday 00:00-00:59."""
+def hour_of_week(t: datetime | np.ndarray) -> int | np.ndarray:
+    """Map a local timestamp to its hour-of-week slot, 0 = Monday 00:00-00:59.
+
+    A ``datetime64`` array maps elementwise to an int64 array.
+    """
+    if isinstance(t, np.ndarray):  # 1970-01-01 00:00, hour 0 of the epoch, was a Thursday
+        return (t.astype("datetime64[h]").astype(np.int64) + 72) % HOURS_PER_WEEK
     return 24 * t.weekday() + t.hour
 
 

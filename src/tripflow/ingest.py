@@ -6,7 +6,8 @@ import csv
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +31,19 @@ TRIPS_HEADER = [
 # One parsed raw-trip row: the trips file's columns, the timestamp reduced to its hour-of-week.
 RAW_TRIP = np.dtype([("hour", np.int64), *((name, float) for name in TRIPS_HEADER[1:7]),
                      ("passenger_count", np.int64)])
+# Raw trips are read in chunks of CHUNK_LINES lines, a few MB of text, columns and rows at
+# once; longer chunks parse no faster. A chunk that cannot be parsed by column is halved,
+# down to MIN_CHUNK_LINES lines, below which its lines are parsed row by row.
+CHUNK_LINES = 1 << 12
+MIN_CHUNK_LINES = 1 << 10
+# The columns as the chunk parse reads them: the timestamp as bytes, one more than its
+# 19-character form so that a longer one shows, and every other column as in RAW_TRIP.
+_COLUMNS = np.dtype([("pickup_datetime", "S20"), *RAW_TRIP.descr[1:]])
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00\0", dtype=np.uint8)  # "0" stands for any digit
+_DIGITS = _STAMP == ord("0")
+# A NUL ends a bytes timestamp early, and csv on Python 3.10 refuses it. loadtxt strips
+# \x1c-\x1f around a number as whitespace, float() and int() refuse them.
+_UNSAFE = "\0\x1c\x1d\x1e\x1f"
 
 
 class Trip(NamedTuple):
@@ -116,30 +130,105 @@ def transition_counts(trips: TripRows, size: int) -> TransitionCounts:
     return TransitionCounts(counts=counts.reshape(size, size))
 
 
+def _parse_rows(rows: Iterable[list[str]]) -> tuple[np.ndarray, int]:
+    """Parse CSV rows one by one: the rows that parse as ``RAW_TRIP``, plus the count that do not.
+
+    The exact reference of the columnar parse, and its fallback.
+    """
+    parsed = []
+    malformed = 0
+    for row in rows:
+        try:
+            parsed.append((hour_of_week(datetime.fromisoformat(row[0])), *map(float, row[1:7]),
+                           min(max(int(row[7]), -2**63), 2**63 - 1)))  # only its sign is used
+        except (IndexError, ValueError):
+            malformed += 1
+    return np.array(parsed, dtype=RAW_TRIP), malformed
+
+
+def _parse_columns(lines: list[str]) -> Optional[np.ndarray]:
+    """Parse quote-free lines column by column as ``RAW_TRIP`` rows.
+
+    Returns None unless every row provably gets what ``_parse_rows`` gives it:
+    one row per line, every field read without error or warning, and every
+    timestamp in the form ``YYYY-MM-DDTHH:MM:SS`` with a valid date, which
+    ``datetime.fromisoformat`` reads the same way on every Python from 3.10.
+    """
+    text = "".join(lines)
+    # csv refuses a field longer than its limit, so a line that long is left to csv
+    if any(c in text for c in _UNSAFE) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data" for blank lines
+            columns = np.loadtxt(lines, delimiter=",", dtype=_COLUMNS, comments=None, ndmin=1)
+    except (ValueError, Warning):  # e.g. too few fields, "1_0.5" or an int64 overflow
+        return None
+    if len(columns) != len(lines):  # loadtxt skips a blank line; csv reads it as a short row
+        return None
+    stamps = columns["pickup_datetime"]
+    chars = np.ascontiguousarray(stamps).view(np.uint8).reshape(-1, _STAMP.size)
+    digits = chars[:, _DIGITS] - np.uint8(ord("0"))  # a non-digit wraps above 9
+    if ((chars[:, ~_DIGITS] != _STAMP[~_DIGITS]).any() or (digits > 9).any()
+            or (digits[:, :4] == 0).all(axis=1).any()):  # year 0000, which datetime64 takes
+        return None
+    try:
+        when = stamps.astype("datetime64[s]")
+    except ValueError:  # a field out of range, such as a day the month does not have
+        return None
+    raw = np.empty(len(columns), dtype=RAW_TRIP)
+    raw["hour"] = hour_of_week(when)
+    for name in TRIPS_HEADER[1:]:
+        raw[name] = columns[name]
+    return raw
+
+
+def _parse_lines(lines: list[str]) -> Iterator[tuple[np.ndarray, int]]:
+    """Parse quote-free lines: column by column where provably exact, else in halves.
+
+    Yields ``RAW_TRIP`` arrays with their malformed counts, in line order.
+    Lines that no half of at least ``MIN_CHUNK_LINES`` parses by column are
+    parsed row by row.
+    """
+    raw = _parse_columns(lines)
+    if raw is not None:
+        yield raw, 0
+    elif len(lines) > MIN_CHUNK_LINES:
+        half = len(lines) // 2
+        yield from _parse_lines(lines[:half])
+        yield from _parse_lines(lines[half:])
+    else:
+        yield _parse_rows(csv.reader(lines))
+
+
 def load_raw_trips(path) -> tuple[np.ndarray, int]:
     """Read a trips CSV; returns its rows as a ``RAW_TRIP`` array plus a malformed-row count.
 
     Rows that fail to parse (bad timestamp, non-numeric fields, too few
     columns) or carry a non-finite or out-of-range coordinate are counted,
     never fatal: large trip files always contain noise.
+
+    The file is read ``CHUNK_LINES`` lines at a time and each chunk parsed
+    column by column wherever that gives exactly what ``_parse_rows`` gives.
+    From the first chunk holding a quote on, the rest of the file is read by
+    ``csv`` and parsed row by row, since a quoted field may hold a line break.
     """
-    rows = []
-    malformed = 0
+    parts, malformed = [np.empty(0, dtype=RAW_TRIP)], 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != TRIPS_HEADER:
             raise ValueError(f"{path}: expected header {','.join(TRIPS_HEADER)}")
-        for row in reader:
-            try:
-                rows.append((hour_of_week(datetime.fromisoformat(row[0])), *map(float, row[1:7]),
-                             min(max(int(row[7]), -2**63), 2**63 - 1)))  # only its sign is used
-            except (IndexError, ValueError):
-                malformed += 1
-    raw = np.array(rows, dtype=RAW_TRIP)
-    ends = np.column_stack([raw[name] for name in TRIPS_HEADER[1:5]])
-    valid = (np.abs(ends) <= (90.0, 180.0, 90.0, 180.0)).all(axis=1)  # NaN compares False
-    return raw[valid], malformed + int(np.count_nonzero(~valid))
+        while lines := list(islice(fh, CHUNK_LINES)):
+            if '"' in "".join(lines):
+                chunks = [_parse_rows(csv.reader(chain(lines, fh)))]
+            else:
+                chunks = _parse_lines(lines)
+            for raw, bad in chunks:
+                ends = np.column_stack([raw[name] for name in TRIPS_HEADER[1:5]])
+                valid = (np.abs(ends) <= (90.0, 180.0, 90.0, 180.0)).all(axis=1)  # NaN fails
+                parts.append(raw[valid])
+                malformed += bad + int(np.count_nonzero(~valid))
+    return np.concatenate(parts), malformed
 
 
 def write_clean_trips(path, trips: Iterable[Trip]) -> None:

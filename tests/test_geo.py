@@ -82,6 +82,18 @@ class TestHourOfWeek:
     def test_total(self, t):
         assert 0 <= hour_of_week(t) < 168
 
+    @pytest.mark.parametrize("start", [datetime(1969, 12, 22), datetime(1900, 2, 19),
+                                       datetime(2012, 2, 20), datetime(2013, 1, 7),
+                                       datetime(1, 1, 1)])
+    def test_array_form_matches_scalar(self, start):
+        # two weeks from each start, at the first and last second of every hour
+        hours = np.datetime64(start, "h") + np.arange(2 * 168)
+        for offset in (0, 3599):
+            stamps = hours.astype("datetime64[s]") + offset
+            slots = hour_of_week(stamps)
+            assert slots.dtype == np.int64
+            assert slots.tolist() == [hour_of_week(t) for t in stamps.tolist()]
+
 
 def square(south, west, size=0.1):
     return (GeoPoint(south, west), GeoPoint(south, west + size),

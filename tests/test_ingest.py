@@ -1,6 +1,7 @@
 import ast
 import csv
 import math
+import warnings
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tripflow import ingest
 from tripflow.files import write_csv, write_json
 from tripflow.geo import GeoPoint, hour_of_week, write_tracts
 from tripflow.ingest import (
@@ -343,6 +345,101 @@ class TestPerRecordOracle:
         assert total == 3000 and len(trips) > 500
         assert set(tally) == {"malformed", "distance", "time", "passengers", "out_of_area",
                               "self_loop"}
+
+
+def _line(stamp="2013-01-07T09:00:00"):
+    """One raw-trips line, without its line end, of a ride from tract 0 to tract 1."""
+    a, b = (t.centroid for t in DIRTY_SPACE.tracts[:2])
+    return ",".join([stamp, repr(a.lat), repr(a.lon), repr(b.lat), repr(b.lon), "1.0", "600", "1"])
+
+
+CLEAN = _line()
+HUGE_DISTANCE = "1." + "0" * csv.field_size_limit()  # 1.0 in a field too long for csv
+# Each file is the header, then these lines; a clean line on each side of the odd one.
+EDGE_FILES = {
+    **{f"stamp_{key}": f"{CLEAN}\n{_line(stamp)}\n{CLEAN}\n" for key, stamp in [
+        ("year_0000", "0000-01-07T09:00:00"), ("hour_24", "2013-01-07T24:00:00"),
+        ("second_60", "2013-01-07T09:00:60"), ("feb_29_2013", "2013-02-29T09:00:00"),
+        ("feb_29_2012", "2012-02-29T09:00:00"), ("lowercase_t", "2013-01-07t09:00:00"),
+        ("space", "2013-01-07 09:00:00"), ("z", "2013-01-07T09:00:00Z"),
+        ("offset", "2013-01-07T09:00:00+05:00"), ("fraction", "2013-01-07T09:00:00.250000"),
+        ("nul", "2013-01-07T09:00:00\0")]},
+    "blank_line": f"{CLEAN}\n\n{CLEAN}\n",
+    "hash_line": f"{CLEAN}\n#{CLEAN}\n{CLEAN}\n",
+    "quoted_comma": f'{CLEAN}\n"{CLEAN[:19]}"{CLEAN[19:-1]}"1,0"\n"{CLEAN[:19]}"{CLEAN[19:]}\n',
+    "quoted_newline": f'{CLEAN}\n{CLEAN[:-1]}"1\n"\n{CLEAN}\n',
+    "lone_cr": f"{CLEAN}\r{CLEAN}\r{CLEAN}\n",
+    "no_final_newline": f"{CLEAN}\n{CLEAN}",
+    "lf": f"{CLEAN}\n{CLEAN}\n",
+    "crlf": f"{CLEAN}\r\n{CLEAN}\r\n",
+    "ninth_column": f"{CLEAN}\n{CLEAN},extra\n{CLEAN}\n",
+    "file_separator": f"{CLEAN}\n{CLEAN}\x1c\n{CLEAN}\n",  # space to loadtxt, not to int()
+    "no_break_space": f"{CLEAN}\n{CLEAN}\xa0\n{CLEAN}\n",  # space to both
+    "huge_field": f"{CLEAN}\n{CLEAN.replace(',1.0,', f',{HUGE_DISTANCE},')}\n",
+}
+
+
+class TestChunkedParse:
+    """``load_raw_trips``' column-wise chunks against the per-record path and its fallback."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+    @pytest.mark.parametrize("name", EDGE_FILES)
+    def test_edge_cases(self, tmp_path, monkeypatch, name, chunk):
+        if chunk is not None:
+            monkeypatch.setattr("tripflow.ingest.CHUNK_LINES", chunk)
+            monkeypatch.setattr("tripflow.ingest.MIN_CHUNK_LINES", 1)
+        path = tmp_path / "trips.csv"
+        path.write_bytes((",".join(TRIPS_HEADER) + "\n" + EDGE_FILES[name]).encode("utf-8"))
+        try:
+            expected = per_record_ingest(path, DIRTY_SPACE)
+        except Exception as error:  # e.g. the csv module's own error on an older Python
+            with pytest.raises(type(error)) as raised:
+                columnar_ingest(path, DIRTY_SPACE)
+            assert str(raised.value) == str(error)
+        else:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert columnar_ingest(path, DIRTY_SPACE) == expected
+            assert caught == []  # e.g. loadtxt's "input contained no data" on a blank line
+
+    def test_header_only(self, tmp_path):
+        write_raw(tmp_path / "trips.csv", [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            raw, malformed = load_raw_trips(tmp_path / "trips.csv")
+        assert raw.dtype == RAW_TRIP and raw.shape == (0,) and malformed == 0
+        assert caught == []
+
+    def test_fast_and_fallback_chunks_mix(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("tripflow.ingest.CHUNK_LINES", 16)
+        monkeypatch.setattr("tripflow.ingest.MIN_CHUNK_LINES", 4)
+        per_row = []
+
+        def counted(rows, parse_rows=ingest._parse_rows):
+            rows = list(rows)
+            per_row.append(len(rows))
+            return parse_rows(rows)
+
+        monkeypatch.setattr("tripflow.ingest._parse_rows", counted)
+        rng = np.random.default_rng(7)
+
+        def pick(key, clean):
+            menu = DIRTY_MENUS[key]
+            return menu[rng.integers(clean)]
+
+        dirty = {37, 38, 130, 131, 132, 250, *range(400, 432)}
+        rows = [dirty_row(*(pick(key, len(DIRTY_MENUS[key]) if i in dirty else clean)
+                            for key, clean in (("when", 1), ("end", 7), ("end", 7),
+                                               ("distance", 1), ("secs", 1),
+                                               ("passengers", 1), ("length", 1))))
+                for i in range(480)]
+        rows[37][0] = "not-a-date"  # one chunk is refused whatever the draws
+        write_raw(tmp_path / "trips.csv", rows)
+        result = columnar_ingest(tmp_path / "trips.csv", DIRTY_SPACE)
+        assert result == per_record_ingest(tmp_path / "trips.csv", DIRTY_SPACE)
+        assert 0 < sum(per_row) <= len(rows) // 8  # most rows took the column-wise parse
+        assert max(per_row) <= 4  # each refused chunk was halved down to MIN_CHUNK_LINES
+        assert result[1]["malformed"] >= 1 and len(result[0]) > 300
 
 
 def test_huge_passenger_counts_keep_their_sign(tmp_path):

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,10 +32,9 @@ TRIPS_HEADER = [
 RAW_TRIP = np.dtype([("hour", np.int64), *((name, float) for name in TRIPS_HEADER[1:7]),
                      ("passenger_count", np.int64)])
 # Raw trips are read in chunks of CHUNK_LINES lines, a few MB of text, columns and rows at
-# once; longer chunks parse no faster. A chunk that cannot be parsed by column is halved,
-# down to MIN_CHUNK_LINES lines, below which its lines are parsed row by row.
+# once; longer chunks parse no faster. A chunk that cannot be parsed by column is parsed
+# row by row.
 CHUNK_LINES = 1 << 12
-MIN_CHUNK_LINES = 1 << 10
 # The columns as the chunk parse reads them: the timestamp as bytes, one more than its
 # 19-character form so that a longer one shows, and every other column as in RAW_TRIP.
 _COLUMNS = np.dtype([("pickup_datetime", "S20"), *RAW_TRIP.descr[1:]])
@@ -183,24 +182,6 @@ def _parse_columns(lines: list[str]) -> Optional[np.ndarray]:
     return raw
 
 
-def _parse_lines(lines: list[str]) -> Iterator[tuple[np.ndarray, int]]:
-    """Parse quote-free lines: column by column where provably exact, else in halves.
-
-    Yields ``RAW_TRIP`` arrays with their malformed counts, in line order.
-    Lines that no half of at least ``MIN_CHUNK_LINES`` parses by column are
-    parsed row by row.
-    """
-    raw = _parse_columns(lines)
-    if raw is not None:
-        yield raw, 0
-    elif len(lines) > MIN_CHUNK_LINES:
-        half = len(lines) // 2
-        yield from _parse_lines(lines[:half])
-        yield from _parse_lines(lines[half:])
-    else:
-        yield _parse_rows(csv.reader(lines))
-
-
 def load_raw_trips(path) -> tuple[np.ndarray, int]:
     """Read a trips CSV; returns its rows as a ``RAW_TRIP`` array plus a malformed-row count.
 
@@ -220,14 +201,15 @@ def load_raw_trips(path) -> tuple[np.ndarray, int]:
             raise ValueError(f"{path}: expected header {','.join(TRIPS_HEADER)}")
         while lines := list(islice(fh, CHUNK_LINES)):
             if '"' in "".join(lines):
-                chunks = [_parse_rows(csv.reader(chain(lines, fh)))]
+                raw, bad = _parse_rows(csv.reader(chain(lines, fh)))
+            elif (raw := _parse_columns(lines)) is not None:
+                bad = 0
             else:
-                chunks = _parse_lines(lines)
-            for raw, bad in chunks:
-                ends = np.column_stack([raw[name] for name in TRIPS_HEADER[1:5]])
-                valid = (np.abs(ends) <= (90.0, 180.0, 90.0, 180.0)).all(axis=1)  # NaN fails
-                parts.append(raw[valid])
-                malformed += bad + int(np.count_nonzero(~valid))
+                raw, bad = _parse_rows(csv.reader(lines))
+            ends = np.column_stack([raw[name] for name in TRIPS_HEADER[1:5]])
+            valid = (np.abs(ends) <= (90.0, 180.0, 90.0, 180.0)).all(axis=1)  # NaN fails
+            parts.append(raw[valid])
+            malformed += bad + int(np.count_nonzero(~valid))
     return np.concatenate(parts), malformed
 
 

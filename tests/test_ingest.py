@@ -387,7 +387,6 @@ class TestChunkedParse:
     def test_edge_cases(self, tmp_path, monkeypatch, name, chunk):
         if chunk is not None:
             monkeypatch.setattr("tripflow.ingest.CHUNK_LINES", chunk)
-            monkeypatch.setattr("tripflow.ingest.MIN_CHUNK_LINES", 1)
         path = tmp_path / "trips.csv"
         path.write_bytes((",".join(TRIPS_HEADER) + "\n" + EDGE_FILES[name]).encode("utf-8"))
         try:
@@ -412,7 +411,6 @@ class TestChunkedParse:
 
     def test_fast_and_fallback_chunks_mix(self, tmp_path, monkeypatch):
         monkeypatch.setattr("tripflow.ingest.CHUNK_LINES", 16)
-        monkeypatch.setattr("tripflow.ingest.MIN_CHUNK_LINES", 4)
         per_row = []
 
         def counted(rows, parse_rows=ingest._parse_rows):
@@ -437,8 +435,8 @@ class TestChunkedParse:
         write_raw(tmp_path / "trips.csv", rows)
         result = columnar_ingest(tmp_path / "trips.csv", DIRTY_SPACE)
         assert result == per_record_ingest(tmp_path / "trips.csv", DIRTY_SPACE)
-        assert 0 < sum(per_row) <= len(rows) // 8  # most rows took the column-wise parse
-        assert max(per_row) <= 4  # each refused chunk was halved down to MIN_CHUNK_LINES
+        assert set(per_row) == {16}  # each refused chunk was parsed row by row, whole
+        assert 0 < sum(per_row) <= len(rows) // 4  # most rows took the column-wise parse
         assert result[1]["malformed"] >= 1 and len(result[0]) > 300
 
 

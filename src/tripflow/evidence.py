@@ -53,7 +53,7 @@ from .ingest import TransitionCounts
 
 DEFAULT_K_GRID = (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
 _DIRECT = 16  # T: counts up to T are summed term by term (see the module docstring)
-_BLOCK = 2**14  # tail entries `_rising_tail` takes on at a time, so its temporaries stay in cache
+_BLOCK = 2**14  # tail values per `_rising_tail` block, _BLOCK // K columns, so they stay in cache
 
 
 @dataclass(frozen=True)
@@ -136,23 +136,27 @@ def _series(z: np.ndarray) -> np.ndarray:
 
 def _past_head(y: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where y < T the series cannot start: there y and m step past the first T terms, in
-    place. Returns those entries and their y before the step."""
-    small = np.flatnonzero(y < _DIRECT)
-    first = y.take(small)
+    place. Returns where it did so, as a mask, and the y there before the step."""
+    small = y < _DIRECT
+    first = y[small]
     y[small] = first + _DIRECT
     m[small] -= _DIRECT
     return small, first
 
 
 def _rising_tail(x: np.ndarray, n: _Counts) -> np.ndarray:
-    """lnG(x + n) - lnG(x) at the tail entries, n > T, in the log1p form of the Stirling series.
+    """lnG(x + n) - lnG(x) at the tail entries, n > T, in the log1p form of the Stirling series;
+    one row per row of the priors ``x``.
 
     Where x < T the first T terms come first, as the log of their product. Heavy cells make this
-    the costly loop at large trip counts, so it runs a block at a time, mostly in place.
+    the costly loop at large trip counts, so it runs ``_BLOCK`` values at a time, mostly in place.
     """
-    out = np.empty(n.tail.size)
-    for lo in range(0, n.tail.size, _BLOCK):
-        y, m = x.take(n.tail[lo:lo + _BLOCK]), n.tail_n[lo:lo + _BLOCK].copy()
+    out = np.empty((len(x), n.tail.size))
+    step = max(1, _BLOCK // len(x))
+    for lo in range(0, n.tail.size, step):
+        y = x.take(n.tail[lo:lo + step], axis=1)
+        m = np.empty_like(y)  # the counts on every row of y
+        m[:] = n.tail_n[lo:lo + step]
         small, first = _past_head(y, m)
         u = first * (first + (_DIRECT - 1))  # (y + i)(y + T-1-i) = u + i(T-1-i)
         product = u.copy()  # < (2T)^T, so it cannot overflow
@@ -169,86 +173,78 @@ def _rising_tail(x: np.ndarray, n: _Counts) -> np.ndarray:
         value += _series(z)
         value -= _series(y)
         value[small] += np.log(product)
-        out[lo:lo + value.size] = value
+        out[:, lo:lo + step] = value
     return out
 
 
-def _block_sums(values: np.ndarray, blocks: int) -> np.ndarray:
-    """Sums of ``blocks`` equal runs of ``values``, one run per copy of a stacked count set."""
-    return values.reshape(blocks, -1).sum(axis=1)
-
-
-def _log_rising(x: np.ndarray, n: _Counts, blocks: int = 0) -> np.ndarray:
-    """lnG(x + n) - lnG(x) for x >= 1 and integer counts n >= 0: per entry, or the sums of
-    ``blocks`` copies of a count set when ``blocks`` is given."""
-    terms = x.take(n.entry)
+def _log_rising(x: np.ndarray, n: _Counts, per_entry: bool = False) -> np.ndarray:
+    """lnG(x + n) - lnG(x) for priors x >= 1, one row per k, and integer counts n >= 0: each
+    row's sum, or each entry when ``per_entry`` is set."""
+    terms = x.take(n.entry, axis=1)
     terms += n.offset
     np.log(terms, out=terms)
     tail = _rising_tail(x, n)
-    if blocks:  # each copy's terms, and its tail entries, are equal runs of the two
-        return _block_sums(terms, blocks) + _block_sums(tail, blocks)
-    out = np.bincount(n.entry, weights=terms, minlength=n.n.size)
-    out = out.astype(float, copy=False)  # bincount of no terms is an int64 array
-    out[n.tail] = tail
+    if not per_entry:
+        return terms.sum(axis=1) + tail.sum(axis=1)
+    out = np.array([np.bincount(n.entry, weights=row, minlength=n.n.size) for row in terms],
+                   dtype=float)  # bincount of no terms is an int64 array
+    out[:, n.tail] = tail
     return out
 
 
-def _log_rising_ratios(a: np.ndarray, gap: np.ndarray, n: _Counts, blocks: int) -> np.ndarray:
-    """Block sums of lnG(a + n) - lnG(a) - lnG(b + n) + lnG(b), b = a + gap >= a >= 1.
+def _log_rising_ratios(a: np.ndarray, gap: np.ndarray, n: _Counts) -> np.ndarray:
+    """Row sums of lnG(a + n) - lnG(a) - lnG(b + n) + lnG(b), b = a + gap >= a >= 1.
 
     Every term ln((a + i) / (b + i)) = -log1p(gap / (a + i)) is <= 0, so nothing cancels. Above
     T the Stirling forms of the two rising factorials are subtracted term by term, in log1p form.
     """
-    y, d, m = a.take(n.tail), gap.take(n.tail), n.tail_n.copy()
+    y, d = a.take(n.tail, axis=1), gap.take(n.tail, axis=1)
+    m = np.empty_like(y)
+    m[:] = n.tail_n
     small, first = _past_head(y, m)
-    head = -np.log1p(d.take(small)[:, None] / (first[:, None] + np.arange(_DIRECT))).sum(axis=1)
+    head = -np.log1p(d[small][:, None] / (first[:, None] + np.arange(_DIRECT))).sum(axis=1)
     z = y + d
     tail = ((y - 0.5) * np.log1p(d / (z + m) * (m / y)) - m * np.log1p(d / (y + m))
             - d * np.log1p(m / z) + (_series(y + m) - _series(y) - (_series(z + m) - _series(z))))
     tail[small] += head
-    terms = -np.log1p(gap.take(n.entry) / (a.take(n.entry) + n.offset))
-    return _block_sums(terms, blocks) + _block_sums(tail, blocks)
+    terms = -np.log1p(gap.take(n.entry, axis=1) / (a.take(n.entry, axis=1) + n.offset))
+    return terms.sum(axis=1) + tail.sum(axis=1)
 
 
 class _CountSet(NamedTuple):
-    """A count set's observed cells in ``blocks`` stacked copies, one per k of a sweep: each
-    row's lead cell, the cell with its most trips, and the other cells."""
+    """A count set's observed cells: each row's lead cell, the cell with its most trips, and
+    the other cells."""
 
-    blocks: int
-    lead: np.ndarray  # flat indices of the lead cells in one count set ...
-    lead_row: np.ndarray  # ... and their rows in the stacked rows, one per row with trips
+    lead: np.ndarray  # flat indices of the lead cells ...
+    busy: np.ndarray  # ... and their rows, one per row with trips
     lead_n: _Counts
-    rest: np.ndarray  # flat indices of the other observed cells in one count set
+    rest: np.ndarray  # flat indices of the other observed cells
     rest_n: _Counts
     row_lead: np.ndarray  # each row's lead count, as a float (0 for a row without trips)
     rows: _Counts  # each row's trips outside its lead cell
 
 
-def _count_set(counts: np.ndarray, blocks: int = 1) -> _CountSet:
+def _count_set(counts: np.ndarray) -> _CountSet:
     busy = np.flatnonzero(counts.any(axis=1))
     lead = busy * counts.shape[1] + counts.argmax(axis=1).take(busy)
     rest = np.setdiff1d(np.flatnonzero(counts), lead, assume_unique=True)
     row_lead = np.zeros(counts.shape[0], dtype=counts.dtype)
     row_lead[busy] = counts.take(lead)
-
-    stacked_busy = (np.arange(blocks)[:, None] * counts.shape[0] + busy).ravel()
-    return _CountSet(blocks, lead, stacked_busy, _counts(np.tile(counts.take(lead), blocks)),
-                     rest, _counts(np.tile(counts.take(rest), blocks)),
-                     np.tile(row_lead, blocks).astype(float),
-                     _counts(np.tile(counts.sum(axis=1) - row_lead, blocks)))
+    return _CountSet(lead, busy, _counts(counts.take(lead)), rest, _counts(counts.take(rest)),
+                     row_lead.astype(float), _counts(counts.sum(axis=1) - row_lead))
 
 
 def _log_evidence(s: _CountSet, lead_alpha: np.ndarray, rest_alpha: np.ndarray,
                   row_alpha: np.ndarray, row_terms: np.ndarray) -> np.ndarray:
-    """The log evidence of each copy of a count set, from the prior at its lead and other
-    observed cells, each row's prior sum A, and ``row_terms``, each row's
-    lnG(A + N) - lnG(A + n) for its lead count n. The rest of the row term,
-    lnG(A + n) - lnG(A), is paired with the lead cell's lnG(a + n) - lnG(a) in
+    """The log evidence of a count set under K priors, from (K, cells) arrays, one row per
+    prior: the prior at the lead and other observed cells, each origin row's prior sum A, and
+    ``row_terms``, each origin row's lnG(A + N) - lnG(A + n) for its lead count n. The rest of
+    the row term, lnG(A + n) - lnG(A), is paired with the lead cell's lnG(a + n) - lnG(a) in
     `_log_rising_ratios`, with gap A - a.
     """
-    gap = row_alpha.take(s.lead_row) - lead_alpha
-    return (_log_rising_ratios(lead_alpha, gap, s.lead_n, s.blocks)
-            + _log_rising(rest_alpha, s.rest_n, s.blocks) - _block_sums(row_terms, s.blocks))
+    gap = row_alpha.take(s.busy, axis=1) - lead_alpha
+    return (_log_rising_ratios(lead_alpha, gap, s.lead_n) + _log_rising(rest_alpha, s.rest_n)
+            - row_terms.sum(axis=1))
 
 
 def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
@@ -256,9 +252,10 @@ def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
     if n.counts.shape != a.alpha.shape:
         raise ValueError(f"count shape {n.counts.shape} != prior shape {a.alpha.shape}")
     s = _count_set(n.counts)  # a cell with n = 0 adds lnG(a) - lnG(a) = 0
-    row_alpha = a.alpha.sum(axis=1)
-    return float(_log_evidence(s, a.alpha.take(s.lead), a.alpha.take(s.rest), row_alpha,
-                               _log_rising(row_alpha + s.row_lead, s.rows))[0])
+    row_alpha = a.alpha.sum(axis=1)[None]  # the one-row case of k_sweep's (K, cells) priors
+    row_terms = _log_rising(row_alpha + s.row_lead, s.rows, per_entry=True)
+    return float(_log_evidence(s, a.alpha.take(s.lead)[None], a.alpha.take(s.rest)[None],
+                               row_alpha, row_terms)[0])
 
 
 def rank_hypotheses(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
@@ -294,23 +291,21 @@ def k_sweep(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
         for h in catalog:
             _check_shape(h, shape)
     scored: list[list[list[tuple[str, float]]]] = [[[] for _ in ks] for _ in stack]
-    # each count set is laid out once per k, so that one call scores a hypothesis at every k
-    units = [_count_set(counts, len(ks)) for counts in stack]
-    at_k = np.asarray(ks, dtype=float)[:, None]  # each copy's k, against one set's cells
+    units = [_count_set(counts) for counts in stack]
+    at_k = np.asarray(ks, dtype=float)[:, None]  # one row per k, against a set's cells
     # each row's sum in exact arithmetic: |S| (1 + k) for a non-zero belief row, |S| for a zero one
-    full = np.repeat([size + k * size for k in ks], size)
-    empty = np.full(len(ks) * size, float(size))
+    full, empty = size + at_k * size, np.full_like(at_k, size)
     rows: list[tuple[np.ndarray, ...]] = []
     hypotheses = 0
     for h in catalog:  # alpha as in elicit_prior at the observed cells
         beliefs = _row_normalized(_check_shape(h, shape).q)
         if not rows:  # once the first hypothesis has passed its check
-            rows = [tuple(_log_rising(sums + s.row_lead, s.rows) for sums in (full, empty))
-                    for s in units]
-        believed = np.tile(beliefs.any(axis=1), len(ks))
+            rows = [tuple(_log_rising(sums + s.row_lead, s.rows, per_entry=True)
+                          for sums in (full, empty)) for s in units]
+        believed = beliefs.any(axis=1)
         for s, (at_full, at_empty), out in zip(units, rows, scored):
-            values = _log_evidence(s, _elicited(at_k, size, beliefs.take(s.lead)).ravel(),
-                                   _elicited(at_k, size, beliefs.take(s.rest)).ravel(),
+            values = _log_evidence(s, _elicited(at_k, size, beliefs.take(s.lead)),
+                                   _elicited(at_k, size, beliefs.take(s.rest)),
                                    np.where(believed, full, empty),
                                    np.where(believed, at_full, at_empty))
             for value, at in zip(values.tolist(), out):

@@ -132,15 +132,21 @@ def transition_counts(trips: TripRows, size: int) -> TransitionCounts:
 def _parse_rows(rows: Iterable[list[str]]) -> tuple[np.ndarray, int]:
     """Parse CSV rows one by one: the rows that parse as ``RAW_TRIP``, plus the count that do not.
 
+    A row the csv reader refuses (a field over ``csv.field_size_limit()``, or a NUL on Python
+    3.10) counts as malformed too, and the reader goes on at the next line.
     The exact reference of the columnar parse, and its fallback.
     """
     parsed = []
     malformed = 0
-    for row in rows:
+    rows = iter(rows)
+    while True:
         try:
+            row = next(rows)
             parsed.append((hour_of_week(datetime.fromisoformat(row[0])), *map(float, row[1:7]),
                            min(max(int(row[7]), -2**63), 2**63 - 1)))  # only its sign is used
-        except (IndexError, ValueError):
+        except StopIteration:
+            break
+        except (IndexError, ValueError, csv.Error):
             malformed += 1
     return np.array(parsed, dtype=RAW_TRIP), malformed
 

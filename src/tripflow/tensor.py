@@ -9,9 +9,9 @@ Storage is sparse (coordinate list, the COO layout of Bader & Kolda 2007):
 real trip tensors are mostly empty and synthetic test fixtures stay instant.
 The decomposition takes each sweep's error from the CP fit identity
 err^2 = |X|^2 - 2<X, M> + s'(G_t * G_p * G_d)s, out of products its update
-already holds. Dense model slices, in blocks of whole hours of at most 2^16
-cells, are built only by ``reconstruction_error`` and where a fit is close
-enough for the identity to cancel.
+already holds. Dense model slices, one hour at a time, are built only by
+``reconstruction_error`` and where a fit is close enough for the identity to
+cancel.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 UPDATE_FLOOR = 1e-12  # floor of the multiplicative update's denominator: no division by 0
-_BLOCK_CELLS = 2 ** 16  # dense residual cells per block of hours: 512 KB, about L2-sized
 # Below this fraction of |X|^2 the identity's err^2 has cancelled to a relative error of
 # about eps / 1e-4 = 2e-12, so the error comes from the slices instead.
 _IDENTITY_FLOOR = 1e-4
@@ -171,20 +170,17 @@ def _error_from_slices(coords, vals, dims, factors, scale) -> float:
     Each hour's dense model slice, minus that hour's entries in place, is the
     residual; its squared sum is cancellation-free, so the error keeps its
     relative precision however close the fit.
-    Hours go in blocks of at most ``_BLOCK_CELLS`` cells, each hour still summed on its own.
     """
     hours, pickups, dropoffs = coords  # sorted by hour and unique, as MobilityTensor keeps them
     tfac, pfac, dfac = factors
-    step = max(1, _BLOCK_CELLS // (dims[1] * dims[2]))
-    boundaries = np.searchsorted(hours, np.arange(0, dims[0] + step, step))
+    boundaries = np.searchsorted(hours, np.arange(dims[0] + 1))
     err2 = 0.0
-    for i, h0 in enumerate(range(0, dims[0], step)):
-        block = np.matmul(pfac[None] * (scale * tfac[h0:h0 + step])[:, None, :], dfac.T)
-        lo, hi = boundaries[i], boundaries[i + 1]
-        block[hours[lo:hi] - h0, pickups[lo:hi], dropoffs[lo:hi]] -= vals[lo:hi]
-        np.square(block, out=block)
-        for hour_err2 in block.reshape(len(block), -1).sum(axis=1).tolist():
-            err2 += hour_err2  # one add per hour, in order: builtin sum() compensates on 3.12+
+    for h in range(dims[0]):
+        residual = (pfac * (scale * tfac[h])) @ dfac.T
+        lo, hi = boundaries[h], boundaries[h + 1]
+        residual[pickups[lo:hi], dropoffs[lo:hi]] -= vals[lo:hi]
+        np.square(residual, out=residual)
+        err2 += float(residual.sum())  # in hour order: builtin sum() compensates on 3.12+
     return float(np.sqrt(max(err2, 0.0)))
 
 

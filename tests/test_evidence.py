@@ -255,6 +255,22 @@ class TestKSweep:
             alpha = elicit_prior(by_name[r.hypothesis], r.k).alpha
             assert_close(r.log_evidence, dense_log_evidence(n.counts, alpha))
 
+    def test_each_k_scores_as_a_sweep_of_its_own(self, city_space):
+        size = len(city_space)
+        w = WeightVector("venues_all", city_space.property_vector("venues_all"))
+        law = build_mass(city_space, w, "gravitational_target")
+        partial = law.q.copy()
+        partial[::7] = 0.0  # all-zero belief rows where trips start
+        catalog = [build_uniform(size), build_inverse_distance(city_space), law,
+                   HypothesisMatrix("partial", partial)]
+        rng = np.random.default_rng(17)
+        n = counts_of(rng.multinomial(1_000_000, (law.q / law.q.sum()).ravel()).reshape(size, -1))
+        ks = DEFAULT_K_GRID + (1e4,)
+        # more cells above T, besides the lead cells, than one block holds: the tail runs in
+        # several blocks of columns in the sweep and in each one-k sweep
+        assert (n.counts > evidence._DIRECT).sum() > evidence._BLOCK + size
+        assert k_sweep(n, catalog, ks) == [r for k in ks for r in k_sweep(n, catalog, (k,))]
+
     def test_scorer_sees_row_sums_and_observed_cells_only(self, monkeypatch, grid_space):
         calls = []
 
@@ -275,31 +291,34 @@ class TestKSweep:
         ks = (0.0, 10.0)
         k_sweep(n, catalog, ks)
         log_evidence(n, elicit_prior(catalog[-1], 10.0))
-        # one call per hypothesis, scoring the count set stacked once per k; then log_evidence
-        assert [call[0].blocks for call in calls] == [len(ks)] * len(catalog) + [1]
+        # one call per hypothesis, scoring the count set under a prior row per k; then log_evidence
+        assert [len(call[1]) for call in calls] == [len(ks)] * len(catalog) + [1]
         lead, rest = [1, 2 * size + 7], [2 * size + 5]
         for (s, lead_alpha, rest_alpha, row_alpha, row_terms), h, sweep in \
                 zip(calls, catalog + catalog[-1:], [ks] * len(catalog) + [None]):
             priors = [elicit_prior(h, k) for k in sweep or (10.0,)]
             np.testing.assert_array_equal(s.lead, lead)
-            np.testing.assert_array_equal(s.lead_n.n, [3, 4] * s.blocks)
+            np.testing.assert_array_equal(s.busy, [0, 2])
+            np.testing.assert_array_equal(s.lead_n.n, [3, 4])
             np.testing.assert_array_equal(s.rest, rest)
-            np.testing.assert_array_equal(s.rest_n.n, [1] * s.blocks)
+            np.testing.assert_array_equal(s.rest_n.n, [1])
             row_lead, outside_lead = np.zeros(size), np.zeros(size, dtype=np.int64)
             row_lead[[0, 2]], outside_lead[2] = (3, 4), 1
-            np.testing.assert_array_equal(s.row_lead, np.tile(row_lead, s.blocks))
-            np.testing.assert_array_equal(s.rows.n, np.tile(outside_lead, s.blocks))
-            for alpha, at in ((lead_alpha, lead), (rest_alpha, rest)):
-                np.testing.assert_array_equal(alpha, [p.alpha.flat[i] for p in priors for i in at])
+            np.testing.assert_array_equal(s.row_lead, row_lead)
+            np.testing.assert_array_equal(s.rows.n, outside_lead)
+            for alpha, at in ((lead_alpha, lead), (rest_alpha, rest)):  # (K, cells): a row per k
+                assert alpha.shape == (len(priors), len(at))
+                np.testing.assert_array_equal(alpha,
+                                              [[p.alpha.flat[i] for i in at] for p in priors])
             if sweep:  # each row's sum in exact arithmetic, picked by the zero rows
-                expected = np.concatenate([np.where(h.q.any(axis=1), size * (1 + k), size)
-                                           for k in sweep])
+                expected = [np.where(h.q.any(axis=1), size * (1 + k), size) for k in sweep]
             else:  # log_evidence: the prior's own row sums
-                expected = priors[0].alpha.sum(axis=1)
+                expected = [priors[0].alpha.sum(axis=1)]
+            assert row_alpha.shape == row_terms.shape == (len(priors), size)
             np.testing.assert_array_equal(row_alpha, expected)
-            np.testing.assert_array_equal(row_terms,
-                                          evidence._log_rising(row_alpha + s.row_lead, s.rows))
-        assert calls[2][3][size + 2] == size != calls[1][3][size + 2]  # "partial"'s zero row
+            np.testing.assert_array_equal(
+                row_terms, evidence._log_rising(row_alpha + s.row_lead, s.rows, per_entry=True))
+        assert calls[2][3][1, 2] == size != calls[1][3][1, 2]  # "partial"'s zero row at k = 10
 
     def test_empty_grid(self, grid_space):
         with pytest.raises(ValueError):
@@ -420,7 +439,7 @@ class TestStreamedCatalog:
         message = re.escape("small: belief shape (2, 2) != count shape (3, 3)")
         with pytest.raises(ValueError, match=message):
             k_sweep(counts_of(np.ones((3, 3))), stream, (0.0, 10.0))
-        assert [call[0].blocks for call in calls] == [2]  # the first hypothesis at both k only
+        assert [len(call[1]) for call in calls] == [2]  # the first hypothesis at both k only
         forbid_scoring(monkeypatch)
         with pytest.raises(ValueError, match="small: belief shape"):
             k_sweep(counts_of(np.ones((3, 3))), iter([build_uniform(2, name="small")]), (10.0,))

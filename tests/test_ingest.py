@@ -251,7 +251,14 @@ def per_record_ingest(path, space, exclude_self_loops=True):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error:  # a field over csv's size limit, or a NUL on Python 3.10
+                malformed += 1
+                continue
             try:
                 records.append((datetime.fromisoformat(row[0]),
                                 GeoPoint(float(row[1]), float(row[2])),
@@ -438,6 +445,19 @@ class TestChunkedParse:
         assert set(per_row) == {16}  # each refused chunk was parsed row by row, whole
         assert 0 < sum(per_row) <= len(rows) // 4  # most rows took the column-wise parse
         assert result[1]["malformed"] >= 1 and len(result[0]) > 300
+
+
+@pytest.mark.parametrize("before", [CLEAN, f'"{CLEAN[:19]}"{CLEAN[19:]}'],
+                         ids=["chunk", "quoted"])  # a quote sends the rest of the file to csv
+def test_row_csv_refuses_is_malformed(tmp_path, before):
+    huge = CLEAN.replace(",1.0,", f",{HUGE_DISTANCE},")
+    header = ",".join(TRIPS_HEADER)
+    (tmp_path / "huge.csv").write_text(f"{header}\n{before}\n{huge}\n{CLEAN}\n", encoding="utf-8")
+    (tmp_path / "clean.csv").write_text(f"{header}\n{CLEAN}\n{CLEAN}\n", encoding="utf-8")
+    raw, malformed = load_raw_trips(tmp_path / "huge.csv")
+    clean, none = load_raw_trips(tmp_path / "clean.csv")
+    assert malformed == 1 and none == 0
+    assert raw.dtype == RAW_TRIP and raw.tobytes() == clean.tobytes()
 
 
 def test_huge_passenger_counts_keep_their_sign(tmp_path):

@@ -242,8 +242,7 @@ def random_coo(dims, nnz, r, seed):
 
 
 # (dims, nnz, r, seed); every case but ((3, 2, 2), 12, 2, 4), which fills its tensor, leaves
-# hour 0 without entries. The slice error evaluates hours in blocks of 2**16 cells:
-# (168, 30, 30) splits them into 72 + 72 + 24 hours, and at (3, 260, 260) a block is one hour.
+# hour 0 without entries.
 KERNEL_CASES = [((4, 3, 3), 1, 1, 0), ((6, 4, 5), 10, 1, 1), ((6, 4, 5), 30, 3, 2),
                 ((168, 5, 5), 200, 4, 3), ((3, 2, 2), 12, 2, 4),
                 ((168, 30, 30), 3000, 3, 5), ((3, 260, 260), 800, 2, 6)]

@@ -141,12 +141,16 @@ def _parse_rows(rows: Iterable[list[str]]) -> tuple[np.ndarray, int]:
     rows = iter(rows)
     while True:
         try:
-            row = next(rows)
-            parsed.append((hour_of_week(datetime.fromisoformat(row[0])), *map(float, row[1:7]),
-                           min(max(int(row[7]), -2**63), 2**63 - 1)))  # only its sign is used
+            row = next(rows)  # a read error, such as bad UTF-8, is the file's fault: it propagates
         except StopIteration:
             break
-        except (IndexError, ValueError, csv.Error):
+        except csv.Error:
+            malformed += 1
+            continue
+        try:
+            parsed.append((hour_of_week(datetime.fromisoformat(row[0])), *map(float, row[1:7]),
+                           min(max(int(row[7]), -2**63), 2**63 - 1)))  # only its sign is used
+        except (IndexError, ValueError):
             malformed += 1
     return np.array(parsed, dtype=RAW_TRIP), malformed
 

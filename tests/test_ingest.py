@@ -460,6 +460,18 @@ def test_row_csv_refuses_is_malformed(tmp_path, before):
     assert raw.dtype == RAW_TRIP and raw.tobytes() == clean.tobytes()
 
 
+@pytest.mark.parametrize("before", [CLEAN, f'"{CLEAN[:19]}"{CLEAN[19:]}'],
+                         ids=["chunk", "quoted"])
+def test_bad_utf8_past_the_first_chunk_raises(tmp_path, monkeypatch, before):
+    monkeypatch.setattr("tripflow.ingest.CHUNK_LINES", 1)  # after a quote, csv reads the file
+    text = f"{','.join(TRIPS_HEADER)}\n{before}\n" + f"{CLEAN}\n" * 400  # past the 8 KB read
+    (tmp_path / "trips.csv").write_bytes(text.encode() + b"\xff\xfe\n" + f"{CLEAN}\n".encode())
+    with pytest.raises(UnicodeDecodeError):
+        load_raw_trips(tmp_path / "trips.csv")
+    with pytest.raises(UnicodeDecodeError):
+        per_record_ingest(tmp_path / "trips.csv", DIRTY_SPACE)
+
+
 def test_huge_passenger_counts_keep_their_sign(tmp_path):
     centroids = [t.centroid for t in DIRTY_SPACE.tracts]
     rows = [["2013-01-07T09:00:00", repr(centroids[0].lat), repr(centroids[0].lon),

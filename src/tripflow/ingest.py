@@ -136,9 +136,7 @@ def _parse_rows(rows: Iterable[list[str]]) -> tuple[np.ndarray, int]:
     3.10) counts as malformed too, and the reader goes on at the next line.
     The exact reference of the columnar parse, and its fallback.
     """
-    parsed = []
-    malformed = 0
-    rows = iter(rows)
+    parsed, malformed, rows = [], 0, iter(rows)
     while True:
         try:
             row = next(rows)  # a read error, such as bad UTF-8, is the file's fault: it propagates

@@ -2,8 +2,8 @@
 
 The config file is INI-style with three sections. ``[paths]`` holds tracts,
 trips, and output_dir; ``[pipeline]`` holds the numeric knobs (named exactly
-as the PipelineConfig fields); ``[catalog]`` optionally overrides the
-hypothesis catalog (named exactly as the CatalogConfig fields). Each key
+as the PipelineConfig fields); ``[catalog]`` optionally sets the catalog's
+landmarks and sigma grid (named exactly as the CatalogConfig fields). Each key
 belongs to exactly one section. Every default reproduces the values baked
 into the library: r=7 components, top-10 selection, k grid
 {0,1,5,10,50,100}, the seven-value sigma grid, seed 42.
@@ -56,10 +56,6 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(text.replace(",", " ").split())
-
-
 def _bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
@@ -82,8 +78,7 @@ def _landmarks(text: str) -> tuple[tuple[str, GeoPoint], ...]:
     return tuple(landmarks)
 
 
-_PARSERS = {Optional[Path]: Path, int: int, float: float, bool: _bool, str: str.strip,
-            tuple[float, ...]: _floats, tuple[str, ...]: _names,
+_PARSERS = {Optional[Path]: Path, int: int, float: float, bool: _bool, tuple[float, ...]: _floats,
             tuple[tuple[str, GeoPoint], ...]: _landmarks}
 
 
@@ -155,27 +150,20 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
     for key, ok, rule in (("r", config.r >= 1, ">= 1"), ("n", config.n >= 1, ">= 1"),
                           ("seed", config.seed >= 0, ">= 0"),
                           ("max_iters", config.max_iters >= 1, ">= 1"),
-                          ("rel_tol", 0 <= config.rel_tol < math.inf, "finite and >= 0"),
-                          ("io_eps", 0 <= config.catalog.io_eps < math.inf, "finite and >= 0")):
+                          ("rel_tol", 0 <= config.rel_tol < math.inf, "finite and >= 0")):
         if not ok:  # each rule is written so that NaN fails it
-            value = getattr(config.catalog if key == "io_eps" else config, key)
-            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+            raise ConfigError(f"{key} must be {rule}, got {getattr(config, key)!r}")
     if not config.k_grid:
         raise ConfigError("k_grid must list at least one value")
     if any(not 0 <= k < math.inf for k in config.k_grid):
         raise ConfigError("k values must be finite and >= 0")
     if any(not 0 < s < math.inf for s in config.catalog.sigma_grid):
         raise ConfigError("sigma values must be finite and > 0")
-    # a sigma's {:g} label, a landmark's name and a gravitational-target key are parts of
-    # hypothesis names, which must differ
-    targets = (config.catalog.all_venues_key, *config.catalog.venue_category_keys,
-               *config.catalog.census_indicator_keys)
+    # a sigma's {:g} label and a landmark's name are parts of hypothesis names, which must differ
     for key, what, items in (("k_grid", "value", config.k_grid),
                              ("sigma_grid", "label",
                               [f"{s:g}" for s in config.catalog.sigma_grid]),
-                             ("landmarks", "name", [name for name, _ in config.catalog.landmarks]),
-                             ("all_venues_key + venue_category_keys + census_indicator_keys",
-                              "key", targets)):
+                             ("landmarks", "name", [name for name, _ in config.catalog.landmarks])):
         repeated = sorted({str(v) for i, v in enumerate(items) if v in items[:i]})
         if repeated:
             raise ConfigError(f"{key} repeats the {what}(s) {' '.join(repeated)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,11 +83,11 @@ def _check_weights(space: StateSpace, w: WeightVector) -> np.ndarray:
     return np.asarray(w.w, dtype=float)
 
 
-def build_uniform(size: int, name: str = "uniform") -> HypothesisMatrix:
+def build_uniform(size: int) -> HypothesisMatrix:
     """Every distinct tract equally likely next."""
     if size < 2:
         raise ValueError("uniform hypothesis needs |S| >= 2")
-    return _finish(name, np.ones((size, size)))
+    return _finish("uniform", np.ones((size, size)))
 
 
 def build_inverse_distance(space: StateSpace) -> HypothesisMatrix:
@@ -215,31 +215,6 @@ DEFAULT_LANDMARKS = (
     ("times_square", GeoPoint(40.75773, -73.98570)),
 )
 
-VENUE_CATEGORY_KEYS = (
-    "venues_arts", "venues_education", "venues_food", "venues_nightlife",
-    "venues_outdoors", "venues_work", "venues_residence", "venues_shop",
-    "venues_travel", "venues_church",
-)
-
-CENSUS_INDICATOR_KEYS = (
-    "population", "tract_area",
-    "pct_white", "pct_black", "pct_labor_force", "pct_unemployed",
-    "pct_below_poverty", "pct_above_poverty",
-    "libraries", "art_galleries", "theaters", "museums",
-    "wifi_hotspots", "places_of_interest",
-    "residential_zoning", "commercial_zoning", "manufacturing_zoning",
-    "park_properties", "historic_districts", "empower_zones",
-)
-
-RACE_FEATURE_KEYS = (
-    "pct_white", "pct_black", "pct_american_indian", "pct_asian",
-    "pct_pacific_islander", "pct_other_race", "pct_two_races",
-)
-
-POVERTY_FEATURE_KEYS = ("pct_below_poverty", "pct_above_poverty")
-
-EMPLOYMENT_FEATURE_KEYS = ("pct_employed", "pct_unemployed", "pct_labor_force")
-
 
 @dataclass(frozen=True)
 class CatalogConfig:
@@ -247,19 +222,38 @@ class CatalogConfig:
 
     The defaults build exactly 70 hypotheses: 1 uniform, 29 distance-based
     (inverse distance, plus proximity and one kernel per landmark over the
-    sigma grid), 17 venue-derived, and 23 census-derived.
+    sigma grid), 17 venue-derived, and 23 census-derived. The landmarks and
+    the sigma grid are settings; the property columns the catalog reads and
+    the intervening-opportunities tolerance (km) are fixed.
     """
 
     landmarks: tuple[tuple[str, GeoPoint], ...] = DEFAULT_LANDMARKS
     sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
-    all_venues_key: str = "venues_all"
-    checkins_key: str = "checkins"
-    venue_category_keys: tuple[str, ...] = VENUE_CATEGORY_KEYS
-    census_indicator_keys: tuple[str, ...] = CENSUS_INDICATOR_KEYS
-    race_keys: tuple[str, ...] = RACE_FEATURE_KEYS
-    poverty_keys: tuple[str, ...] = POVERTY_FEATURE_KEYS
-    employment_keys: tuple[str, ...] = EMPLOYMENT_FEATURE_KEYS
-    io_eps: float = 1e-9
+
+    all_venues_key: ClassVar[str] = "venues_all"
+    checkins_key: ClassVar[str] = "checkins"
+    venue_category_keys: ClassVar[tuple[str, ...]] = (
+        "venues_arts", "venues_education", "venues_food", "venues_nightlife",
+        "venues_outdoors", "venues_work", "venues_residence", "venues_shop",
+        "venues_travel", "venues_church",
+    )
+    census_indicator_keys: ClassVar[tuple[str, ...]] = (
+        "population", "tract_area",
+        "pct_white", "pct_black", "pct_labor_force", "pct_unemployed",
+        "pct_below_poverty", "pct_above_poverty",
+        "libraries", "art_galleries", "theaters", "museums",
+        "wifi_hotspots", "places_of_interest",
+        "residential_zoning", "commercial_zoning", "manufacturing_zoning",
+        "park_properties", "historic_districts", "empower_zones",
+    )
+    race_keys: ClassVar[tuple[str, ...]] = (
+        "pct_white", "pct_black", "pct_american_indian", "pct_asian",
+        "pct_pacific_islander", "pct_other_race", "pct_two_races",
+    )
+    poverty_keys: ClassVar[tuple[str, ...]] = ("pct_below_poverty", "pct_above_poverty")
+    employment_keys: ClassVar[tuple[str, ...]] = ("pct_employed", "pct_unemployed",
+                                                  "pct_labor_force")
+    io_eps: ClassVar[float] = 1e-9
 
     def required_keys(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}

@@ -204,7 +204,10 @@ def load_raw_trips(path) -> tuple[np.ndarray, int]:
     """
     parts, malformed = [np.empty(0, dtype=RAW_TRIP)], 0
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error:  # e.g. a field over csv.field_size_limit(): no trips header either
+            header = None
         if header != TRIPS_HEADER:
             raise ValueError(f"{path}: expected header {','.join(TRIPS_HEADER)}")
         while lines := list(islice(fh, CHUNK_LINES)):

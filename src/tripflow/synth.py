@@ -182,12 +182,12 @@ DEMO_PLANTED_TRIPS = 20_000
 DEMO_BACKGROUND_TRIPS = 30_000
 
 
-def demo_recipe(config: CatalogConfig = CatalogConfig()) -> PropertyRecipe:
+def demo_recipe() -> PropertyRecipe:
     """Indicator recipe for the demo city: nightlife mass piled on one corner."""
     overrides = {
         "venues_nightlife": {i: 300.0 + 20.0 * n for n, i in enumerate(DEMO_HOTSPOT_TRACTS)},
     }
-    return PropertyRecipe(keys=config.required_keys(), low=1.0, high=100.0,
+    return PropertyRecipe(keys=CatalogConfig().required_keys(), low=1.0, high=100.0,
                           overrides=overrides)
 
 
@@ -205,8 +205,7 @@ def build_demo_fixture(seed: int) -> tuple[StateSpace, list[Trip], dict]:
     and tracts. Returns the state space, the trips, and a manifest describing
     the planted structure for downstream oracles.
     """
-    config = CatalogConfig()
-    space = generate_state_space(DEMO_GRID, demo_recipe(config), seed)
+    space = generate_state_space(DEMO_GRID, demo_recipe(), seed)
     nightlife = WeightVector(name="venues_nightlife",
                              w=space.property_vector("venues_nightlife"))
     law = build_mass(space, nightlife, "gravitational_target")
@@ -233,10 +232,9 @@ def write_demo_fixture(directory, seed: int) -> dict:
 
     ``demo.cfg`` is removed first and written last, so it marks the set whole.
     """
-    config = CatalogConfig()
     space, trips, manifest = build_demo_fixture(seed)
     (directory / "demo.cfg").unlink(missing_ok=True)
-    write_tracts(directory / "tracts.csv", space, list(config.required_keys()))
+    write_tracts(directory / "tracts.csv", space, list(CatalogConfig().required_keys()))
     write_trips_file(directory / "trips.csv", trips, space)
     write_json(directory / "demo_manifest.json", manifest)
     with replaced(directory / "demo.cfg") as fh:

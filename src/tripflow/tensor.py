@@ -51,9 +51,6 @@ class MobilityTensor:
         self.entries.setflags(write=False)
         self.values.setflags(write=False)
 
-    def entry_sum(self) -> float:
-        return float(self.values.sum())
-
     def frobenius_norm(self) -> float:
         return float(np.sqrt(self.values @ self.values))
 

@@ -51,13 +51,13 @@ class TestConfigFile:
             "[paths]\ntracts = a.csv\ntrips = b.csv\noutput_dir = out\n"
             "[pipeline]\nr = 3\nn = 4\nk_grid = 0 10\nseed = 7\n"
             "exclude_self_loops = false\n"
-            "[catalog]\nio_eps = 0.001\nlandmarks = spot 40.7 -74.0\n",
+            "[catalog]\nsigma_grid = 0.5\nlandmarks = spot 40.7 -74.0\n",
             encoding="utf-8")
         cfg = load_config(path)
         assert cfg.r == 3 and cfg.n == 4 and cfg.seed == 7
         assert cfg.k_grid == (0.0, 10.0)
         assert cfg.exclude_self_loops is False
-        assert cfg.catalog.io_eps == 0.001
+        assert cfg.catalog.sigma_grid == (0.5,)
         assert cfg.catalog.landmarks[0][0] == "spot"
         assert str(cfg.tracts) == "a.csv"
 
@@ -191,9 +191,7 @@ class TestConfigFile:
             "[paths]\ntracts = t.csv\ntrips = u.csv\noutput_dir = o\n"
             "[pipeline]\nr = 3\nn = 4\nk_grid = 0, 2\nseed = 9\n"
             "max_iters = 7\nrel_tol = 0.5\nexclude_self_loops = off\n"
-            "[catalog]\nlandmarks = a 1 2; b 3 4\nsigma_grid = 1 2\nall_venues_key = v\n"
-            "checkins_key = c\nvenue_category_keys = a, b\ncensus_indicator_keys = c d\n"
-            "race_keys = e\npoverty_keys = f\nemployment_keys = g\nio_eps = 0.1\n",
+            "[catalog]\nlandmarks = a 1 2; b 3 4\nsigma_grid = 1 2\n",
             encoding="utf-8")
         cfg = load_config(path)
         assert cfg == PipelineConfig(
@@ -201,10 +199,7 @@ class TestConfigFile:
             k_grid=(0.0, 2.0), seed=9, max_iters=7, rel_tol=0.5, exclude_self_loops=False,
             catalog=CatalogConfig(
                 landmarks=(("a", GeoPoint(1.0, 2.0)), ("b", GeoPoint(3.0, 4.0))),
-                sigma_grid=(1.0, 2.0), all_venues_key="v", checkins_key="c",
-                venue_category_keys=("a", "b"), census_indicator_keys=("c", "d"),
-                race_keys=("e",), poverty_keys=("f",), employment_keys=("g",),
-                io_eps=0.1))
+                sigma_grid=(1.0, 2.0)))
         for obj, default in ((cfg, PipelineConfig()), (cfg.catalog, CatalogConfig())):
             for f in fields(obj):
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
@@ -348,8 +343,19 @@ class TestCli:
         ([], "[catalog]\nlandmarks = a 40.7 -74.0; b 40.8 -74.0; a 40.9 -74.0\n",
          "landmarks repeats the name(s) a"),
         ([], "[catalog]\nvenue_category_keys = venues_all venues_food\n",
-         "census_indicator_keys repeats the key(s) venues_all"),
-        ([], "[catalog]\ncensus_indicator_keys = income income\n", "repeats the key(s) income"),
+         "unknown key(s) in [catalog]: venue_category_keys"),
+        ([], "[catalog]\ncensus_indicator_keys = income income\n",
+         "unknown key(s) in [catalog]: census_indicator_keys"),
+        ([], "[catalog]\nall_venues_key = venues_all\n",
+         "unknown key(s) in [catalog]: all_venues_key"),
+        ([], "[catalog]\ncheckins_key = checkins\n", "unknown key(s) in [catalog]: checkins_key"),
+        ([], "[catalog]\nrace_keys = pct_white pct_black\n",
+         "unknown key(s) in [catalog]: race_keys"),
+        ([], "[catalog]\npoverty_keys = pct_below_poverty pct_above_poverty\n",
+         "unknown key(s) in [catalog]: poverty_keys"),
+        ([], "[catalog]\nemployment_keys = pct_employed\n",
+         "unknown key(s) in [catalog]: employment_keys"),
+        ([], "[catalog]\nio_eps = 1e-9\n", "unknown key(s) in [catalog]: io_eps"),
     ])
     def test_bad_grid_fails_before_any_stage(self, mini_fixture, tmp_path, capsys,
                                              args, text, key):
@@ -584,9 +590,8 @@ class TestStreamedRank:
         out = mini_copy.parent / "out"
         (out / "rankings.csv").unlink()
         cfg = load_config(mini_copy)  # load_config rejects the repeat; run_rank must too
-        cfg = replace(cfg, catalog=replace(cfg.catalog, venue_category_keys=(
-            cfg.catalog.all_venues_key, *cfg.catalog.venue_category_keys)))
-        with pytest.raises(CatalogConfigError, match="gravitational_target_venues_all"):
+        cfg = replace(cfg, catalog=replace(cfg.catalog, sigma_grid=(1.0, 1.0000001)))
+        with pytest.raises(CatalogConfigError, match="proximity_sigma_1"):
             run_rank(cfg)
         assert not (out / "rankings.csv").exists()
 

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ class TestKSweep:
 
     def test_belief_shape_mismatch_rejected_before_scoring(self, monkeypatch):
         forbid_scoring(monkeypatch)
-        catalog = [build_uniform(3), build_uniform(2, name="small")]
+        catalog = [build_uniform(3), replace(build_uniform(2), name="small")]
         message = re.escape("small: belief shape (2, 2) != count shape (3, 3)")
         with pytest.raises(ValueError, match=message):
             k_sweep(counts_of(np.ones((3, 3))), catalog, (0.0, 10.0))
@@ -435,14 +436,16 @@ class TestStreamedCatalog:
 
         scorer = evidence._log_evidence
         monkeypatch.setattr(evidence, "_log_evidence", spy)
-        stream = iter([build_uniform(3), build_uniform(2, name="small"), build_uniform(3, "late")])
+        stream = iter([build_uniform(3), replace(build_uniform(2), name="small"),
+                       replace(build_uniform(3), name="late")])
         message = re.escape("small: belief shape (2, 2) != count shape (3, 3)")
         with pytest.raises(ValueError, match=message):
             k_sweep(counts_of(np.ones((3, 3))), stream, (0.0, 10.0))
         assert [len(call[1]) for call in calls] == [2]  # the first hypothesis at both k only
         forbid_scoring(monkeypatch)
         with pytest.raises(ValueError, match="small: belief shape"):
-            k_sweep(counts_of(np.ones((3, 3))), iter([build_uniform(2, name="small")]), (10.0,))
+            k_sweep(counts_of(np.ones((3, 3))), iter([replace(build_uniform(2), name="small")]),
+                    (10.0,))
 
     def test_empty_stream(self):
         with pytest.raises(ValueError, match="empty hypothesis catalog"):

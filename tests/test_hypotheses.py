@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,9 +323,10 @@ class TestCatalog:
         assert len(set(names)) == len(names)
 
     def test_missing_property_names_key(self, city_space):
-        config = CatalogConfig(checkins_key="no_such_column")
-        with pytest.raises(CatalogConfigError, match="no_such_column"):
-            build_catalog(city_space, config)
+        space = replace(city_space, properties={
+            key: column for key, column in city_space.properties.items() if key != "checkins"})
+        with pytest.raises(CatalogConfigError, match="'checkins'"):
+            build_catalog(space)
 
     def test_stream_yields_the_list_in_order(self, city_space):
         built = build_catalog(city_space)
@@ -334,14 +338,13 @@ class TestCatalog:
             assert a.q.dtype == b.q.dtype and np.array_equal(a.q, b.q)
 
     def test_duplicate_name_raised_when_it_arrives(self, city_space):
-        config = CatalogConfig(venue_category_keys=("venues_all", "venues_food"))
+        config = CatalogConfig(sigma_grid=(1.0, 1.0000001))  # both labelled "1"
         stream = iter_catalog(city_space, config)
         names = []
-        with pytest.raises(CatalogConfigError, match="'gravitational_target_venues_all'"):
+        with pytest.raises(CatalogConfigError, match="'proximity_sigma_1'"):
             for h in stream:
                 names.append(h.name)
-        assert names[-1] == "intervening_opportunities_venues_all"  # the twin comes next
-        assert names.count("gravitational_target_venues_all") == 1
+        assert names == ["uniform", "inverse_distance", "proximity_sigma_1"]  # the twin is next
 
     def test_gravitational_pair_equal_after_row_normalization(self, grid_space):
         w = WeightVector("venues_all", grid_space.property_vector("venues_all"))
@@ -355,3 +358,20 @@ class TestCatalog:
         keys = CatalogConfig().required_keys()
         assert len(keys) == len(set(keys))
         assert "venues_nightlife" in keys and "pct_white" in keys
+
+    def test_only_landmarks_and_sigma_grid_are_settings(self):
+        assert [f.name for f in fields(CatalogConfig)] == ["landmarks", "sigma_grid"]
+
+    @pytest.mark.parametrize("key", ["all_venues_key", "checkins_key", "venue_category_keys",
+                                     "census_indicator_keys", "race_keys", "poverty_keys",
+                                     "employment_keys", "io_eps"])
+    def test_fixed_constant_is_no_keyword(self, key):
+        with pytest.raises(TypeError, match=key):
+            CatalogConfig(**{key: getattr(CatalogConfig, key)})
+
+    def test_data_dictionary_lists_the_required_columns(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Data dictionary\n", 1)[1]
+        bullets = next(block for block in section.split("\n\n") if block.startswith("- "))
+        columns = tuple(re.findall(r"`(\w+)`", bullets))
+        assert columns == CatalogConfig().required_keys() and len(columns) == 38

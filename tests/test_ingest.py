@@ -1,6 +1,7 @@
 import ast
 import csv
 import math
+import re
 import warnings
 from collections import Counter
 from datetime import datetime
@@ -239,6 +240,13 @@ class TestTripFiles:
         path = tmp_path / "trips.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            load_raw_trips(path)
+
+    def test_raw_loader_rejects_a_header_csv_refuses(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text("x" * (csv.field_size_limit() + 1), encoding="utf-8")  # one field, too long
+        message = f"{path}: expected header {','.join(TRIPS_HEADER)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_raw_trips(path)
 
 

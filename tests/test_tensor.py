@@ -39,7 +39,7 @@ class TestBuildTensor:
         rng = np.random.default_rng(1)
         trips = [Trip(int(rng.integers(0, 168)), int(rng.integers(0, 5)),
                       int(rng.integers(0, 5))) for _ in range(512)]
-        assert build_tensor(trips, 5).entry_sum() == 512
+        assert build_tensor(trips, 5).values.sum() == 512
 
     def test_bounds(self):
         with pytest.raises(IndexError):
@@ -120,7 +120,7 @@ class TestDecompose:
         x, _ = rank1_tensor()
         f, _ = ntf_decompose(x, 1)
         # L1-normalized columns make the reconstruction mass equal sum(scale)
-        assert f.scale.sum() == pytest.approx(x.entry_sum(), rel=1e-9)
+        assert f.scale.sum() == pytest.approx(x.values.sum(), rel=1e-9)
 
     def test_factor_invariants(self):
         x, _ = rank1_tensor()

@@ -7,7 +7,10 @@ component is one spatio-temporal mobility cluster.
 
 Storage is sparse (coordinate list, the COO layout of Bader & Kolda 2007):
 real trip tensors are mostly empty and synthetic test fixtures stay instant.
-The decomposition takes each sweep's error from the CP fit identity
+The decomposition's kernel follows the fill: its MTTKRPs sum over the
+nonzeros while the tensor is sparser than ``DENSE_FILL``, and run as matrix
+products on one dense copy above it, as long as the copy fits
+``DENSE_BYTES``. It takes each sweep's error from the CP fit identity
 err^2 = |X|^2 - 2<X, M> + s'(G_t * G_p * G_d)s, out of products its update
 already holds. Dense model slices, one hour at a time, are built only by
 ``reconstruction_error`` and where a fit is close enough for the identity to
@@ -140,6 +143,49 @@ def _mttkrp(coords, vals, factors, mode, dims):
         for fa, fb in zip(factors[a].T, factors[b].T)])
 
 
+# The sweep's kernel follows the fill nnz / cells. A sweep's three MTTKRPs cost about
+# 11 ns per nonzero and component on the sparse path, and 0.2-0.25 ns per cell and
+# component on the dense one at any fill (2-vCPU Xeon VM, one OpenBLAS thread, r = 4 and
+# 7, 100 and 288 tracts): the two cross between 1.9% and 2.5% fill, and on 20 tracts the
+# dense one is faster from 1% up. The dense copy costs 8 bytes a cell; 2^28 bytes admits
+# 288 tracts (111 MB) and keeps 1,200 (1.9 GB) sparse.
+DENSE_FILL = 1 / 40
+DENSE_BYTES = 2**28
+
+
+def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product: row i * len(b) + j is a[i] * b[j]."""
+    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
+
+
+class _DenseMttkrp:
+    """Every mode's MTTKRP from one dense ``(hours, pickups * dropoffs)`` copy of the tensor.
+
+    The time mode is one matrix product with the Khatri-Rao product of the pickup
+    and dropoff factors. The pickup and dropoff modes both contract the partial
+    time' X, shaped (r, pickups, dropoffs), which depends on the time factor
+    alone; it is formed once per time factor and shared between the two (Phan,
+    Tichavsky & Cichocki, IEEE TSP 2013; Kolda & Bader, SIAM Rev. 2009).
+    """
+
+    def __init__(self, x: MobilityTensor):
+        dense = np.zeros(x.dims)
+        dense[tuple(x.entries.T)] = x.values
+        self.matrix = dense.reshape(x.dims[0], -1)
+        self.time = self.partial = None
+
+    def __call__(self, factors, mode):
+        time, pickup, dropoff = factors
+        if mode == 0:
+            return self.matrix @ _khatri_rao(pickup, dropoff)
+        if self.time is not time:  # each update replaces the factor array, so identity suffices
+            self.time = time
+            self.partial = (time.T @ self.matrix).reshape(-1, len(pickup), len(dropoff))
+        if mode == 1:
+            return np.einsum("jpd,dj->pj", self.partial, dropoff)
+        return np.einsum("jpd,pj->dj", self.partial, pickup)
+
+
 def _normalize_columns(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a non-negative matrix into L1-unit columns and their norms.
 
@@ -217,6 +263,13 @@ def ntf_decompose(x: MobilityTensor, r: int,
     recorded error trace is non-increasing to within rounding. Deterministic
     for a fixed seed.
 
+    The MTTKRP kernel is chosen once, from the fill nnz / cells: above
+    ``DENSE_FILL``, and if a float64 copy of every cell fits ``DENSE_BYTES``,
+    each sweep runs on that dense copy (``_DenseMttkrp``: one matrix product for
+    the time mode, one time partial shared by the pickup and dropoff modes);
+    otherwise each mode is the sparse ``_mttkrp``. The two sum the same terms
+    in another order, so their factors agree to rounding, not bit for bit.
+
     Each recorded error comes from the CP fit identity (``_error_from_gram``),
     whose inner product is the sweep's last, dropoff-mode MTTKRP taken with the
     updated factors and scale, so no error costs a pass over dense slices.
@@ -236,6 +289,12 @@ def ntf_decompose(x: MobilityTensor, r: int,
 
     dims = x.dims
     coords, vals = x.entries.T.copy(), x.values  # contiguous coordinate columns
+    cells = dims[0] * dims[1] * dims[2]
+    if len(vals) > DENSE_FILL * cells and 8 * cells <= DENSE_BYTES:
+        mttkrp = _DenseMttkrp(x)
+    else:
+        def mttkrp(factors, mode):
+            return _mttkrp(coords, vals, factors, mode, dims)
 
     rng = np.random.default_rng(opts.seed)
     factors = []
@@ -251,12 +310,12 @@ def ntf_decompose(x: MobilityTensor, r: int,
     norm_x = x.frobenius_norm()
     grams = [f.T @ f for f in factors]
     trace.errors.append(_error_from_gram(coords, vals, dims, factors, scale, grams, norm2,
-                                         _mttkrp(coords, vals, factors, 2, dims)))
+                                         mttkrp(factors, 2)))
 
     for _ in range(opts.max_iters):
         for mode in range(3):
             scaled = factors[mode] * scale
-            numerator = _mttkrp(coords, vals, factors, mode, dims)
+            numerator = mttkrp(factors, mode)
             a, b = (m for m in range(3) if m != mode)
             denominator = scaled @ (grams[a] * grams[b])
             scaled *= numerator / np.maximum(denominator, UPDATE_FLOOR)

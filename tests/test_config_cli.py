@@ -16,6 +16,7 @@ import pytest
 
 import tripflow.cli
 import tripflow.clusters
+import tripflow.tensor
 from tripflow.cli import main, run_build_hypotheses, run_pipeline, run_rank
 from tripflow.config import _SECTIONS, ConfigError, PipelineConfig, load_config
 from tripflow.evidence import k_sweep, write_rankings
@@ -629,16 +630,9 @@ class TestBenchTracer:
         assert "tensor.reconstruction_error" in {span[0] for span in traced["probe"]["spans"]}
 
 
-def test_blas_thread_count_leaves_artifacts_unchanged(city_space, tmp_path):
-    # At r=7 on 288 tracts OpenBLAS splits each hour's (S, r) @ (r, S) product over its
-    # threads; the factors, the error and the catalog must not depend on how many it has.
-    write_tracts(tmp_path / "tracts.csv", city_space, sorted(city_space.properties))
-    rng = np.random.default_rng(11)
-    trips = np.column_stack([rng.integers(0, HOURS_PER_WEEK, 4000),
-                             rng.integers(0, len(city_space), (4000, 2))]).tolist()
-    stages = ("import sys; from tripflow.cli import main; "
-              "sys.exit(main(['factorize', '--config', sys.argv[1]]) "
-              "or main(['build-hypotheses', '--config', sys.argv[1]]))")
+def artifacts_at_one_and_two_blas_threads(space, tmp_path, trips, stages, r) -> dict:
+    """Every file ``stages`` writes from ``trips``, run at one and at two OpenBLAS threads."""
+    write_tracts(tmp_path / "tracts.csv", space, sorted(space.properties))
     artifacts = {}
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
@@ -646,8 +640,39 @@ def test_blas_thread_count_leaves_artifacts_unchanged(city_space, tmp_path):
         write_clean_trips(out / "trips_clean.csv", trips)
         cfg = tmp_path / f"threads{threads}.cfg"
         cfg.write_text(f"[paths]\ntracts = {tmp_path / 'tracts.csv'}\noutput_dir = {out}\n"
-                       "[pipeline]\nr = 7\nmax_iters = 5\nrel_tol = 1e-12\n", encoding="utf-8")
+                       f"[pipeline]\nr = {r}\nmax_iters = 5\nrel_tol = 1e-12\n", encoding="utf-8")
         fresh_python("-c", stages, str(cfg), env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
         artifacts[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    return artifacts
+
+
+def test_blas_thread_count_leaves_artifacts_unchanged(city_space, tmp_path):
+    # At r=7 on 288 tracts OpenBLAS splits each hour's (S, r) @ (r, S) product over its
+    # threads; the factors, the error and the catalog must not depend on how many it has.
+    rng = np.random.default_rng(11)
+    trips = np.column_stack([rng.integers(0, HOURS_PER_WEEK, 4000),
+                             rng.integers(0, len(city_space), (4000, 2))]).tolist()
+    stages = ("import sys; from tripflow.cli import main; "
+              "sys.exit(main(['factorize', '--config', sys.argv[1]]) "
+              "or main(['build-hypotheses', '--config', sys.argv[1]]))")
+    artifacts = artifacts_at_one_and_two_blas_threads(city_space, tmp_path, trips, stages, r=7)
     assert {"factors_meta.json", "catalog_manifest.csv"} <= artifacts["1"].keys()
+    assert artifacts["1"] == artifacts["2"]
+
+
+def test_blas_thread_count_leaves_dense_factors_unchanged(city_space, tmp_path):
+    # Above the fill crossover the sweep runs on a dense copy: OpenBLAS splits the
+    # (168, S^2) @ (S^2, r) time-mode product and the (r, 168) @ (168, S^2) partial over
+    # its threads, and the factor files must not depend on how many it has.
+    rng = np.random.default_rng(12)
+    trips = np.column_stack([rng.integers(0, HOURS_PER_WEEK, 400_000),
+                             rng.integers(0, len(city_space), (400_000, 2))])
+    dims = (HOURS_PER_WEEK, len(city_space), len(city_space))
+    nnz = len(np.unique(np.ravel_multi_index(trips.T, dims)))
+    assert nnz > tripflow.tensor.DENSE_FILL * np.prod(dims)
+    stages = ("import sys; from tripflow.cli import main; "
+              "sys.exit(main(['factorize', '--config', sys.argv[1]]))")
+    artifacts = artifacts_at_one_and_two_blas_threads(city_space, tmp_path, trips.tolist(),
+                                                      stages, r=7)
+    assert {"factors_meta.json", "factors_time.csv", "factors_trace.csv"} <= artifacts["1"].keys()
     assert artifacts["1"] == artifacts["2"]

@@ -216,6 +216,12 @@ class TestInterveningOpportunities:
         with pytest.raises(ValueError):
             build_intervening_opportunities(grid_space, w, eps=-1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf], ids=["nan", "-1", "inf"])
+    def test_eps_must_be_finite_and_non_negative(self, grid_space, eps):
+        w = WeightVector("w", np.ones(len(grid_space)))
+        with pytest.raises(ValueError, match=r"^eps must be finite and >= 0, got "):
+            build_intervening_opportunities(grid_space, w, eps)
+
 
 @st.composite
 def integer_spaces(draw):

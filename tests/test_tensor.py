@@ -21,6 +21,12 @@ from conftest import (addat_mttkrp, best_match_min_cosine, cosine, dense_slice_e
                       oracle_decompose, planted_rank3)
 
 
+@pytest.fixture
+def sparse_path(monkeypatch):
+    """Keep ``ntf_decompose`` on the sparse kernel, whose sweeps the oracles copy bit for bit."""
+    monkeypatch.setattr(tensor, "DENSE_FILL", 1.0)  # no tensor is more than full
+
+
 def as_dict(x: MobilityTensor) -> dict[tuple[int, int, int], float]:
     return dict(zip(map(tuple, x.entries.tolist()), x.values.tolist()))
 
@@ -130,6 +136,7 @@ class TestDecompose:
             np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-9)
         assert f.r == len(f.scale) == 2
 
+    @pytest.mark.usefixtures("sparse_path")
     @pytest.mark.parametrize("opts, converged", [
         (NtfOptions(seed=42, max_iters=500), True),
         (NtfOptions(seed=42, max_iters=4, rel_tol=0.0), False),
@@ -351,6 +358,7 @@ class TestKernelsMatchOracles:
         assert trace.iterations == len(errors) - 1 == 3
         assert_trace_near(trace.errors, errors, x)
 
+    @pytest.mark.usefixtures("sparse_path")
     def test_decompose_with_oracle_kernels(self, monkeypatch):
         x, _ = planted_rank3()
         opts = NtfOptions(seed=42, max_iters=60)
@@ -365,6 +373,7 @@ class TestKernelsMatchOracles:
             assert np.array_equal(mine, theirs)
         assert trace.errors == oracle_trace.errors and trace.iterations == oracle_trace.iterations
 
+    @pytest.mark.usefixtures("sparse_path")
     @pytest.mark.parametrize("case", ["planted", "random"])
     def test_decompose_matches_oracle_sweeps(self, case):
         x = planted_rank3()[0] if case == "planted" else random_coo((168, 6, 6), 300, 1, 5)[0]
@@ -375,3 +384,102 @@ class TestKernelsMatchOracles:
             assert np.array_equal(mine, theirs)
         assert trace.iterations == len(errors) - 1
         assert_trace_near(trace.errors, errors, x)
+
+
+# A dense MTTKRP sums the same non-negative terms as ``_mttkrp`` in another order, so each
+# entry lies within a few ulps of it. Dense and sparse decompositions keep their factors and
+# scale within FACTOR_TOL of each matrix's largest entry (at most 1.7e-15 measured on the
+# rank-1 and planted rank-3 fits) and their error traces within TRACE_TOL * |X|.
+DENSE_RTOL = 1e-13
+FACTOR_TOL = 1e-12
+
+
+def city_tensor(trips: int, seed: int) -> MobilityTensor:
+    """Uniform random trips over 288 tracts: above the crossover from about 360k trips."""
+    rng = np.random.default_rng(seed)
+    return build_tensor(np.column_stack([rng.integers(0, 168, trips),
+                                         rng.integers(0, 288, (trips, 2))]), 288)
+
+
+def kernel_calls(monkeypatch, x, r, opts):
+    """Decompose ``x``, recording each sparse MTTKRP's mode and each dense copy made."""
+    sparse, dense = [], []
+    mttkrp, dense_kernel = tensor._mttkrp, tensor._DenseMttkrp
+    monkeypatch.setattr(tensor, "_mttkrp", lambda *args: sparse.append(args[3]) or mttkrp(*args))
+    monkeypatch.setattr(tensor, "_DenseMttkrp", lambda x: dense.append(x) or dense_kernel(x))
+    _, trace = ntf_decompose(x, r, opts)
+    return sparse, dense, trace
+
+
+class TestDenseSweep:
+    @staticmethod
+    def assert_matches_sparse(x, factors):
+        """Each mode in sweep order, the pickup and dropoff modes sharing one time partial."""
+        coords = x.entries.T.copy()
+
+        def sparse(fs, mode):
+            return tensor._mttkrp(coords, x.values, fs, mode, x.dims)
+
+        kernel = tensor._DenseMttkrp(x)
+        for mode in range(3):
+            got = kernel(factors, mode)
+            assert got.shape == (x.dims[mode], factors[0].shape[1])
+            np.testing.assert_allclose(got, sparse(factors, mode), rtol=DENSE_RTOL, atol=0)
+        partial = kernel.partial
+        kernel(factors, 1)
+        assert kernel.partial is partial  # formed once per time factor
+        moved = [factors[0][::-1].copy(), *factors[1:]]
+        np.testing.assert_allclose(kernel(moved, 2), sparse(moved, 2), rtol=DENSE_RTOL, atol=0)
+        assert kernel.partial is not partial
+
+    @pytest.mark.parametrize("dims, nnz, r, seed", KERNEL_CASES)
+    def test_mttkrp_matches_sparse(self, dims, nnz, r, seed):
+        x, factors, _ = random_coo(dims, nnz, r, seed)
+        self.assert_matches_sparse(x, factors)
+
+    def test_mttkrp_matches_sparse_at_city_size(self):
+        x = city_tensor(500_000, 8)
+        assert len(x.values) > tensor.DENSE_FILL * np.prod(x.dims)
+        rng = np.random.default_rng(9)
+        self.assert_matches_sparse(x, [rng.random((dim, 7)) for dim in x.dims])
+
+    @pytest.mark.parametrize("case", ["planted", "rank1"])
+    def test_decompositions_agree(self, case, monkeypatch):
+        """The same sweeps to ``rel_tol`` on either path, to within rounding."""
+        x, r = (planted_rank3()[0], 3) if case == "planted" else (rank1_tensor()[0], 1)
+        runs = []
+        for fill in (0.0, 1.0):  # every tensor, then none, takes the dense path
+            monkeypatch.setattr(tensor, "DENSE_FILL", fill)
+            runs.append(ntf_decompose(x, r, NtfOptions(seed=42)))
+        (dense, dense_trace), (sparse, sparse_trace) = runs
+        assert dense_trace.converged and sparse_trace.converged
+        assert dense_trace.iterations == sparse_trace.iterations
+        for mine, theirs in zip((*dense.factors(), dense.scale), (*sparse.factors(), sparse.scale)):
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=FACTOR_TOL * theirs.max())
+        assert_trace_near(dense_trace.errors, sparse_trace.errors, x)
+
+    def test_below_the_crossover_every_mode_is_sparse(self, monkeypatch):
+        x, _, _ = random_coo((168, 30, 30), 3000, 3, 5)
+        assert len(x.values) < tensor.DENSE_FILL * np.prod(x.dims)
+        sparse, dense, trace = kernel_calls(monkeypatch, x, 3, NtfOptions(max_iters=5))
+        assert sparse == [2] + [0, 1, 2] * trace.iterations and dense == []
+
+    def test_at_the_crossover_the_sweep_stays_sparse(self, monkeypatch):
+        x, _ = planted_rank3()
+        fill = len(x.values) / np.prod(x.dims)
+        monkeypatch.setattr(tensor, "DENSE_FILL", fill)  # dense only strictly above it
+        sparse, dense, trace = kernel_calls(monkeypatch, x, 3, NtfOptions(max_iters=5))
+        assert sparse == [2] + [0, 1, 2] * trace.iterations and dense == []
+        monkeypatch.setattr(tensor, "DENSE_FILL", fill * (1 - 1e-9))
+        sparse, dense, _ = kernel_calls(monkeypatch, x, 3, NtfOptions(max_iters=5))
+        assert sparse == [] and dense == [x]
+
+    def test_over_the_budget_the_sweep_stays_sparse(self, monkeypatch):
+        x, _ = rank1_tensor()  # full: above any crossover
+        copy_bytes = 8 * np.prod(x.dims)
+        monkeypatch.setattr(tensor, "DENSE_BYTES", copy_bytes - 1)
+        sparse, dense, trace = kernel_calls(monkeypatch, x, 2, NtfOptions(max_iters=5))
+        assert sparse == [2] + [0, 1, 2] * trace.iterations and dense == []
+        monkeypatch.setattr(tensor, "DENSE_BYTES", copy_bytes)
+        sparse, dense, _ = kernel_calls(monkeypatch, x, 2, NtfOptions(max_iters=5))
+        assert sparse == [] and dense == [x]

@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,44 +44,41 @@ def _require(cfg: PipelineConfig, *names: str) -> None:
                           f"(set via config [paths], environment, or flags)")
 
 
-def _input_file(path: Path, what: str) -> Path:
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"{what} not found: {path}")
-    return Path(path)
-
-
-def _ensure_output_dir(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.output_dir)
+def _open_stage(cfg: PipelineConfig, name: str, *paths: str) -> tuple[StateSpace, Path]:
+    """Check every input of stage ``name``, then delete its mark and its readers', direct or not."""
+    _require(cfg, "tracts", *paths, "output_dir")
+    for path in ("tracts", *paths):
+        if not Path(getattr(cfg, path)).is_file():
+            raise FileNotFoundError(f"{path} file not found: {getattr(cfg, path)}")
+    space, out = load_tracts(cfg.tracts), Path(cfg.output_dir)
+    for producer in _STAGES[name].reads:
+        if not (mark := out / _STAGES[producer].mark).is_file():
+            raise FileNotFoundError(f"{mark} not found; run {producer} first")
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _open_stage(cfg: PipelineConfig, *inputs: str) -> tuple[StateSpace, Path]:
-    """Check the paths a stage needs, load the tracts and create the output directory."""
-    _require(cfg, "tracts", *inputs, "output_dir")
-    return load_tracts(_input_file(cfg.tracts, "tracts file")), _ensure_output_dir(cfg)
-
-
-def _load_cleaned_trips(out: Path) -> np.ndarray:
-    return load_clean_trips(_input_file(out / "trips_clean.csv", "cleaned trips file"))
+    voided = {name}
+    for later, stage in _STAGES.items():  # in pipeline order: a reader follows what it reads
+        if later == name or voided.intersection(stage.reads):
+            voided.add(later)
+            (out / stage.mark).unlink(missing_ok=True)
+    return space, out
 
 
 def run_ingest(cfg: PipelineConfig) -> dict:
-    space, out = _open_stage(cfg, "trips")
-    raw, malformed = load_raw_trips(_input_file(cfg.trips, "trips file"))
+    space, out = _open_stage(cfg, "ingest", "trips")
+    raw, malformed = load_raw_trips(cfg.trips)
     trips, tally = clean_trips(raw, space, exclude_self_loops=cfg.exclude_self_loops)
     if malformed:
         tally[REJECT_MALFORMED] = malformed
-    write_clean_trips(out / "trips_clean.csv", trips.tolist())
     summary = {"accepted": len(trips), "rejected": tally,
                "input_records": len(raw) + malformed}
     write_json(out / "ingest_summary.json", summary)
+    write_clean_trips(out / "trips_clean.csv", trips.tolist())  # last: the stage's mark
     return summary
 
 
 def run_factorize(cfg: PipelineConfig) -> dict:
-    space, out = _open_stage(cfg)
-    tensor = build_tensor(_load_cleaned_trips(out), len(space))
+    space, out = _open_stage(cfg, "factorize")
+    tensor = build_tensor(load_clean_trips(out / "trips_clean.csv"), len(space))
     factors, trace = ntf_decompose(tensor, cfg.r, cfg.ntf_options())
     save_factors(out, factors, seed=cfg.seed, trace=trace)
     return {"r": cfg.r, "iterations": trace.iterations,
@@ -88,10 +86,10 @@ def run_factorize(cfg: PipelineConfig) -> dict:
 
 
 def run_extract_clusters(cfg: PipelineConfig) -> dict:
-    space, out = _open_stage(cfg)
-    trips = _load_cleaned_trips(out)
+    space, out = _open_stage(cfg, "extract-clusters")
+    trips = load_clean_trips(out / "trips_clean.csv")
     factors = load_factors(out)
-    for stale in [*out.glob("cluster_*"), out / "overall_counts.csv"]:  # earlier runs', any r
+    for stale in out.glob("cluster_*"):  # earlier runs', any r
         stale.unlink(missing_ok=True)
     rows = (len(factors.time), len(factors.pickup), len(factors.dropoff))
     if rows != (HOURS_PER_WEEK, len(space), len(space)):
@@ -106,13 +104,13 @@ def run_extract_clusters(cfg: PipelineConfig) -> dict:
             csv.writer(fh, lineterminator="\n").writerows(counts.counts.tolist())
         sizes[f"cluster_{c}"] = counts.total
     overall = transition_counts(trips, len(space))
-    with replaced(out / "overall_counts.csv") as fh:  # last: rank runs only once it exists
+    with replaced(out / "overall_counts.csv") as fh:  # last: the stage's mark
         csv.writer(fh, lineterminator="\n").writerows(overall.counts.tolist())
     return {"clusters": sizes, "n": cfg.n}
 
 
 def run_build_hypotheses(cfg: PipelineConfig) -> dict:
-    space, out = _open_stage(cfg)
+    space, out = _open_stage(cfg, "build-hypotheses")
     catalog = build_catalog(space, cfg.catalog)
     write_csv(out / "catalog_manifest.csv", ["hypothesis", "states", "nonzeros"],
               ([h.name, h.q.shape[0], np.count_nonzero(h.q)] for h in catalog),
@@ -121,10 +119,8 @@ def run_build_hypotheses(cfg: PipelineConfig) -> dict:
 
 
 def run_rank(cfg: PipelineConfig) -> dict:
-    space, out = _open_stage(cfg)
+    space, out = _open_stage(cfg, "rank")
     count_files = [out / "overall_counts.csv", *sorted(out.glob("cluster_*_counts.csv"))]
-    if not count_files[0].is_file() or len(count_files) < 2:
-        raise FileNotFoundError(f"count sets missing in {out}; run extract-clusters first")
     stack = np.empty((len(count_files), len(space), len(space)), dtype=np.int64)
     for path, counts in zip(count_files, stack):  # one count set per slice, loaded in place
         try:
@@ -144,14 +140,34 @@ def run_rank(cfg: PipelineConfig) -> dict:
             "hypotheses": block // len(cfg.k_grid)}
 
 
-_STAGES = {"ingest": run_ingest, "factorize": run_factorize,
-           "extract-clusters": run_extract_clusters,
-           "build-hypotheses": run_build_hypotheses, "rank": run_rank}
+class Stage(NamedTuple):
+    """A stage runs once the marks it reads exist; it first deletes its mark and its readers'."""
+
+    run: Callable[[PipelineConfig], dict]
+    help: str
+    reads: tuple[str, ...]  # the stages whose outputs it reads
+    mark: str  # the file it writes last: its outputs are whole once the mark exists
+
+
+_STAGES = {  # in pipeline order
+    "ingest": Stage(run_ingest, "clean raw trips and map endpoints to tracts", (),
+                    "trips_clean.csv"),
+    "factorize": Stage(run_factorize, "decompose the trip tensor into components",
+                       ("ingest",), "factors_meta.json"),
+    "extract-clusters": Stage(
+        run_extract_clusters, "count transitions overall and per component's top-N hours/dropoffs",
+        ("ingest", "factorize"), "overall_counts.csv"),
+    "build-hypotheses": Stage(run_build_hypotheses, "materialize the hypothesis catalog manifest",
+                              (), "catalog_manifest.csv"),
+    "rank": Stage(run_rank, "rank hypotheses by log evidence per cluster and overall",
+                  ("extract-clusters",), "rankings.csv"),
+}
 
 
 def _synth(cfg: PipelineConfig) -> dict:
     _require(cfg, "output_dir")
-    return write_demo_fixture(_ensure_output_dir(cfg), seed=cfg.seed)
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    return write_demo_fixture(Path(cfg.output_dir), seed=cfg.seed)
 
 
 def _run(name: str, stage, cfg: PipelineConfig):
@@ -165,7 +181,7 @@ def _run(name: str, stage, cfg: PipelineConfig):
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    return {name: _run(name, stage, cfg) for name, stage in _STAGES.items()}
+    return {name: _run(name, stage.run, cfg) for name, stage in _STAGES.items()}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -190,18 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discover spatio-temporal mobility clusters in trip data and "
                     "characterize them by Bayesian hypothesis ranking.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "ingest": "clean raw trips and map endpoints to tracts",
-        "factorize": "decompose the trip tensor into components",
-        "extract-clusters": "count transitions overall and per component's top-N hours/dropoffs",
-        "build-hypotheses": "materialize the hypothesis catalog manifest",
-        "rank": "rank hypotheses by log evidence per cluster and overall",
-        "synth": "write the deterministic synthetic demo fixture",
-        "pipeline": "run all stages in order",
-    }
-    for name, text in descriptions.items():
-        cmd = sub.add_parser(name, help=text, description=text)
-        _add_common(cmd)
+    for name, text in [*((name, stage.help) for name, stage in _STAGES.items()),
+                       ("synth", "write the deterministic synthetic demo fixture"),
+                       ("pipeline", "run all stages in order")]:
+        _add_common(sub.add_parser(name, help=text, description=text))
     return parser
 
 
@@ -212,16 +220,15 @@ def main(argv=None) -> int:
                           output_dir=args.output_dir, seed=args.seed, r=args.r, n=args.n,
                           k_grid=tuple(args.k) if args.k else None,
                           exclude_self_loops=False if args.include_self_loops else None)
-        if args.command == "pipeline":
-            for name in run_pipeline(cfg):
-                print(f"{name}: ok")
-        elif args.command == "synth":
+        if args.command == "synth":
             manifest = _run("synth", _synth, cfg)
             print(f"synth: wrote fixture to {Path(cfg.output_dir)} "
                   f"({manifest['planted_trips'] + manifest['background_trips']} trips)")
         else:
-            result = _run(args.command, _STAGES[args.command], cfg)
-            print(f"{args.command}: {json.dumps(result, sort_keys=True)}")
+            results = run_pipeline(cfg) if args.command == "pipeline" else \
+                {args.command: _run(args.command, _STAGES[args.command].run, cfg)}
+            for name, result in results.items():
+                print(f"{name}: {json.dumps(result, sort_keys=True)}")
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

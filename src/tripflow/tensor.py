@@ -287,14 +287,12 @@ def ntf_decompose(x: MobilityTensor, r: int,
     if len(x.values) == 0:
         raise ValueError("degenerate input: tensor has no nonzero entries")
 
-    dims = x.dims
-    coords, vals = x.entries.T.copy(), x.values  # contiguous coordinate columns
+    dims, vals = x.dims, x.values
     cells = dims[0] * dims[1] * dims[2]
-    if len(vals) > DENSE_FILL * cells and 8 * cells <= DENSE_BYTES:
-        mttkrp = _DenseMttkrp(x)
-    else:
-        def mttkrp(factors, mode):
-            return _mttkrp(coords, vals, factors, mode, dims)
+    dense = len(vals) > DENSE_FILL * cells and 8 * cells <= DENSE_BYTES
+    coords = x.coords()[:3] if dense else x.entries.T.copy()  # contiguous for sparse gathers
+    mttkrp = _DenseMttkrp(x) if dense else \
+        (lambda factors, mode: _mttkrp(coords, vals, factors, mode, dims))
 
     rng = np.random.default_rng(opts.seed)
     factors = []

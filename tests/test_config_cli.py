@@ -236,7 +236,7 @@ class TestCli:
                      "factors_trace.csv", "overall_counts.csv", "cluster_0_membership.csv",
                      "cluster_1_counts.csv", "catalog_manifest.csv", "rankings.csv"):
             assert (out / name).is_file(), name
-        assert "rank: ok" in capsys.readouterr().out
+        assert "rank: {" in [line[:7] for line in capsys.readouterr().out.splitlines()]
 
     def test_catalog_manifest_lists_70(self, mini_copy):
         with open(mini_copy.parent / "out" / "catalog_manifest.csv") as fh:
@@ -528,7 +528,7 @@ class TestInterruptedStages:
         assert (out / "factors_dropoff.csv").read_bytes() == before
         assert list(out.glob(".*.tmp")) == []
         assert main(["extract-clusters", "--config", str(mini_copy)]) == 1
-        assert "factor files not found" in capsys.readouterr().err
+        assert "run factorize first" in capsys.readouterr().err
 
     def test_extract_clusters_failing_on_second_component(self, mini_copy, monkeypatch, capsys):
         calls = []
@@ -545,6 +545,52 @@ class TestInterruptedStages:
         assert (mini_copy.parent / "out" / "cluster_0_counts.csv").is_file()
         assert main(["rank", "--config", str(mini_copy)]) == 1
         assert "run extract-clusters first" in capsys.readouterr().err
+
+
+class TestStageMarks:
+    """A stage runs on the marks of the stages it reads; a rerun deletes its readers' marks."""
+
+    def test_factorize_rerun_voids_the_count_sets(self, mini_copy, capsys):
+        out = mini_copy.parent / "out"
+        assert main(["factorize", "--config", str(mini_copy), "--seed", "5"]) == 0
+        assert not (out / "overall_counts.csv").exists() and not (out / "rankings.csv").exists()
+        assert main(["rank", "--config", str(mini_copy)]) == 1
+        assert "run extract-clusters first" in capsys.readouterr().err
+
+    def test_ingest_rerun_voids_the_factors(self, mini_copy, capsys):
+        assert main(["ingest", "--config", str(mini_copy)]) == 0
+        assert main(["extract-clusters", "--config", str(mini_copy)]) == 1
+        assert "run factorize first" in capsys.readouterr().err
+
+    def test_missing_input_deletes_nothing(self, mini_copy, capsys):
+        out = mini_copy.parent / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        load_config(mini_copy).trips.unlink()
+        assert main(["ingest", "--config", str(mini_copy)]) == 1
+        assert "trips file not found" in capsys.readouterr().err
+        assert {"trips_clean.csv", "factors_meta.json", "rankings.csv"} <= before.keys()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_build_hypotheses_rerun_keeps_the_rankings(self, mini_copy):
+        rankings = mini_copy.parent / "out" / "rankings.csv"
+        before = rankings.read_bytes()
+        assert main(["build-hypotheses", "--config", str(mini_copy)]) == 0
+        assert rankings.read_bytes() == before
+
+    def test_cleaned_trips_alone_run_factorize_through_rank(self, mini_copy, tmp_path):
+        # the benchmark's city fixture: trips_clean.csv and no raw trips or ingest summary
+        full, out = mini_copy.parent / "out", tmp_path / "out"
+        out.mkdir()
+        shutil.copy(full / "trips_clean.csv", out)
+        cfg = tmp_path / "cleaned.cfg"
+        cfg.write_text(mini_copy.read_text(encoding="utf-8")
+                       .replace(str(full), str(out))
+                       .replace(str(mini_copy.parent / "trips.csv"), str(tmp_path / "absent.csv")),
+                       encoding="utf-8")
+        for stage in ("factorize", "extract-clusters", "build-hypotheses", "rank"):
+            assert main([stage, "--config", str(cfg)]) == 0, stage
+        expected = {p.name: p.read_bytes() for p in full.iterdir() if p.name != "ingest_summary.json"}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
 
 class TestStreamedRank:

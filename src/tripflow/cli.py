@@ -10,7 +10,6 @@ synthetic fixture for end-to-end runs without real data.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from .clusters import cluster_counts, cluster_selection, write_membership
 from .config import ConfigError, PipelineConfig, load_config
 from .evidence import k_sweep, write_rankings
-from .files import replaced, write_csv, write_json
+from .files import write_csv, write_int_rows, write_json
 from .geo import HOURS_PER_WEEK, StateSpace, load_tracts
 from .hypotheses import build_catalog, iter_catalog
 from .ingest import REJECT_MALFORMED, TransitionCounts, clean_trips, load_clean_trips, \
@@ -31,10 +30,7 @@ from .tensor import build_tensor, load_factors, ntf_decompose, save_factors
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A stage failed; its ``__cause__`` is why."""
 
 
 def _require(cfg: PipelineConfig, *names: str) -> None:
@@ -72,7 +68,7 @@ def run_ingest(cfg: PipelineConfig) -> dict:
     summary = {"accepted": len(trips), "rejected": tally,
                "input_records": len(raw) + malformed}
     write_json(out / "ingest_summary.json", summary)
-    write_clean_trips(out / "trips_clean.csv", trips.tolist())  # last: the stage's mark
+    write_clean_trips(out / "trips_clean.csv", trips)  # last: the stage's mark
     return summary
 
 
@@ -100,12 +96,10 @@ def run_extract_clusters(cfg: PipelineConfig) -> dict:
         hours, dropoffs = cluster_selection(factors, c, cfg.n)
         write_membership(out / f"cluster_{c}_membership.csv", factors, c, hours, dropoffs)
         counts = cluster_counts(trips, hours, dropoffs, len(space))
-        with replaced(out / f"cluster_{c}_counts.csv") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(counts.counts.tolist())
+        write_int_rows(out / f"cluster_{c}_counts.csv", counts.counts, lineterminator="\n")
         sizes[f"cluster_{c}"] = counts.total
-    overall = transition_counts(trips, len(space))
-    with replaced(out / "overall_counts.csv") as fh:  # last: the stage's mark
-        csv.writer(fh, lineterminator="\n").writerows(overall.counts.tolist())
+    overall = transition_counts(trips, len(space))  # written last: the stage's mark
+    write_int_rows(out / "overall_counts.csv", overall.counts, lineterminator="\n")
     return {"clusters": sizes, "n": cfg.n}
 
 
@@ -171,13 +165,13 @@ def _synth(cfg: PipelineConfig) -> dict:
 
 
 def _run(name: str, stage, cfg: PipelineConfig):
-    """Run one stage; any failure other than a configuration error becomes StageError(name)."""
+    """Run one stage; any failure other than a configuration error becomes a StageError."""
     try:
         return stage(cfg)
     except ConfigError:
         raise
     except Exception as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"stage {name!r} failed: {exc}") from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:

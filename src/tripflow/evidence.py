@@ -34,7 +34,7 @@ pseudo-counts on believed transitions. Because of the row normalization,
 scaling any belief row by a positive constant changes nothing downstream.
 In exact arithmetic an elicited row sums to |S| (1 + k), or to |S| for an
 all-zero belief row, so `k_sweep` takes the row terms at those two sums once
-per (count set, k) and each hypothesis picks per row by its zero rows.
+per k, for every count set, and each hypothesis picks per row by its zero rows.
 `log_evidence` takes the prior's own row sums, so at k = 0 the two agree bit
 for bit.
 """
@@ -76,9 +76,10 @@ class EvidenceResult:
     rank: int
 
 
-def _row_normalized(q: np.ndarray) -> np.ndarray:
-    row_sums = q.sum(axis=1, keepdims=True)
-    return np.divide(q, row_sums, out=np.zeros_like(q), where=row_sums > 0)
+def _row_sums(q: np.ndarray) -> np.ndarray:
+    """Each belief row's sum, or inf where it is 0: q / sums is then 0, as where a sum overflows."""
+    sums = q.sum(axis=1)
+    return np.where(sums > 0, sums, math.inf)
 
 
 def _check_k(k: float, size: int) -> None:
@@ -99,25 +100,34 @@ def elicit_prior(q: HypothesisMatrix, k: float) -> PriorMatrix:
     the prior stays proper. k = 0 yields alpha identically 1.
     """
     _check_k(k, q.q.shape[0])
-    return PriorMatrix(alpha=_elicited(k, q.q.shape[0], _row_normalized(q.q)))
+    return PriorMatrix(alpha=_elicited(k, q.q.shape[0], q.q / _row_sums(q.q)[:, None]))
 
 
 class _Counts(NamedTuple):
-    """An integer count vector laid out once for the scorers below."""
+    """An integer count vector laid out once for the scorers below, one count set after another."""
 
     n: np.ndarray
     entry: np.ndarray  # the entry of each term of a count n <= T ...
     offset: np.ndarray  # ... and its i, as a float
     tail: np.ndarray  # the entries whose count is above T ...
     tail_n: np.ndarray  # ... and their counts, as floats
+    entry_cuts: list[int]  # where each count set's terms start in ``entry``, and the end ...
+    tail_cuts: list[int]  # ... and where its entries start in ``tail``, and the end
 
 
-def _counts(n: np.ndarray) -> _Counts:
+def _counts(n: np.ndarray, cuts: np.ndarray) -> _Counts:
+    """Lay out the counts ``n`` of count sets that start at the entries ``cuts``, then n.size."""
     direct = np.where(n <= _DIRECT, n, 0)
     entry = np.repeat(np.arange(n.size), direct)
     offset = np.arange(entry.size) - np.repeat(np.cumsum(direct) - direct, direct)
     tail = np.flatnonzero(n > _DIRECT)
-    return _Counts(n, entry, offset.astype(float), tail, n.take(tail).astype(float))
+    return _Counts(n, entry, offset.astype(float), tail, n.take(tail).astype(float),
+                   *(np.searchsorted(at, cuts).tolist() for at in (entry, tail)))
+
+
+def _by_set(values: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """Each count set's column sum, (K, C), over its own slice: the bits of the set alone."""
+    return np.stack([values[:, lo:hi].sum(axis=1) for lo, hi in zip(cuts, cuts[1:])], axis=1)
 
 
 def _series(z: np.ndarray) -> np.ndarray:
@@ -179,13 +189,13 @@ def _rising_tail(x: np.ndarray, n: _Counts) -> np.ndarray:
 
 def _log_rising(x: np.ndarray, n: _Counts, per_entry: bool = False) -> np.ndarray:
     """lnG(x + n) - lnG(x) for priors x >= 1, one row per k, and integer counts n >= 0: each
-    row's sum, or each entry when ``per_entry`` is set."""
+    row's sum per count set, (K, C), or each entry when ``per_entry`` is set."""
     terms = x.take(n.entry, axis=1)
     terms += n.offset
     np.log(terms, out=terms)
     tail = _rising_tail(x, n)
     if not per_entry:
-        return terms.sum(axis=1) + tail.sum(axis=1)
+        return _by_set(terms, n.entry_cuts) + _by_set(tail, n.tail_cuts)
     out = np.array([np.bincount(n.entry, weights=row, minlength=n.n.size) for row in terms],
                    dtype=float)  # bincount of no terms is an int64 array
     out[:, n.tail] = tail
@@ -193,7 +203,7 @@ def _log_rising(x: np.ndarray, n: _Counts, per_entry: bool = False) -> np.ndarra
 
 
 def _log_rising_ratios(a: np.ndarray, gap: np.ndarray, n: _Counts) -> np.ndarray:
-    """Row sums of lnG(a + n) - lnG(a) - lnG(b + n) + lnG(b), b = a + gap >= a >= 1.
+    """Row sums per set, (K, C), of lnG(a + n) - lnG(a) - lnG(b + n) + lnG(b), b = a + gap >= a.
 
     Every term ln((a + i) / (b + i)) = -log1p(gap / (a + i)) is <= 0, so nothing cancels. Above
     T the Stirling forms of the two rising factorials are subtracted term by term, in log1p form.
@@ -208,54 +218,58 @@ def _log_rising_ratios(a: np.ndarray, gap: np.ndarray, n: _Counts) -> np.ndarray
             - d * np.log1p(m / z) + (_series(y + m) - _series(y) - (_series(z + m) - _series(z))))
     tail[small] += head
     terms = -np.log1p(gap.take(n.entry, axis=1) / (a.take(n.entry, axis=1) + n.offset))
-    return terms.sum(axis=1) + tail.sum(axis=1)
+    return _by_set(terms, n.entry_cuts) + _by_set(tail, n.tail_cuts)
 
 
 class _CountSet(NamedTuple):
-    """A count set's observed cells: each row's lead cell, the cell with its most trips, and
-    the other cells."""
+    """The observed cells of a stack of count sets, one set after another: each row's lead
+    cell, the cell with its most trips, and the other cells."""
 
-    lead: np.ndarray  # flat indices of the lead cells ...
+    lead: np.ndarray  # flat indices of the lead cells in their |S| x |S| set ...
     busy: np.ndarray  # ... and their rows, one per row with trips
     lead_n: _Counts
-    rest: np.ndarray  # flat indices of the other observed cells
+    rest: np.ndarray  # flat indices of the other observed cells in their set
     rest_n: _Counts
     row_lead: np.ndarray  # each row's lead count, as a float (0 for a row without trips)
     rows: _Counts  # each row's trips outside its lead cell
 
 
-def _count_set(counts: np.ndarray) -> _CountSet:
-    busy = np.flatnonzero(counts.any(axis=1))
-    lead = busy * counts.shape[1] + counts.argmax(axis=1).take(busy)
-    rest = np.setdiff1d(np.flatnonzero(counts), lead, assume_unique=True)
-    row_lead = np.zeros(counts.shape[0], dtype=counts.dtype)
-    row_lead[busy] = counts.take(lead)
-    return _CountSet(lead, busy, _counts(counts.take(lead)), rest, _counts(counts.take(rest)),
-                     row_lead.astype(float), _counts(counts.sum(axis=1) - row_lead))
+def _count_set(stack: np.ndarray) -> _CountSet:  # a (C, |S|, |S|) stack
+    size = stack.shape[-1]
+    by_row = stack.reshape(-1, size)
+    row_lead = by_row.max(axis=1)  # each row's lead count
+    busy = np.flatnonzero(row_lead)
+    lead = busy * size + by_row.argmax(axis=1).take(busy)  # flat indices in the stack
+    rest = np.setdiff1d(np.flatnonzero(stack), lead, assume_unique=True)
+    cuts = np.arange(len(stack) + 1) * size  # where each set's rows start, and the end
+    return _CountSet(lead % size**2, busy % size,
+                     _counts(stack.take(lead), np.searchsorted(busy, cuts)), rest % size**2,
+                     _counts(stack.take(rest), np.searchsorted(rest, cuts * size)),
+                     row_lead.astype(float), _counts(by_row.sum(axis=1) - row_lead, cuts))
 
 
 def _log_evidence(s: _CountSet, lead_alpha: np.ndarray, rest_alpha: np.ndarray,
                   row_alpha: np.ndarray, row_terms: np.ndarray) -> np.ndarray:
-    """The log evidence of a count set under K priors, from (K, cells) arrays, one row per
-    prior: the prior at the lead and other observed cells, each origin row's prior sum A, and
-    ``row_terms``, each origin row's lnG(A + N) - lnG(A + n) for its lead count n. The rest of
-    the row term, lnG(A + n) - lnG(A), is paired with the lead cell's lnG(a + n) - lnG(a) in
-    `_log_rising_ratios`, with gap A - a.
+    """The log evidence of each count set under K priors, (K, C), from (K, cells) arrays, one
+    row per prior: the prior at the lead and other observed cells, each origin row's prior sum
+    A, and ``row_terms``, each set's origin rows' lnG(A + N) - lnG(A + n) for the lead count n.
+    The rest of the row term, lnG(A + n) - lnG(A), is paired with the lead cell's
+    lnG(a + n) - lnG(a) in `_log_rising_ratios`, with gap A - a.
     """
     gap = row_alpha.take(s.busy, axis=1) - lead_alpha
     return (_log_rising_ratios(lead_alpha, gap, s.lead_n) + _log_rising(rest_alpha, s.rest_n)
-            - row_terms.sum(axis=1))
+            - row_terms.reshape(len(row_terms), -1, row_alpha.shape[1]).sum(axis=2))
 
 
 def log_evidence(n: TransitionCounts, a: PriorMatrix) -> float:
     """Log marginal likelihood of the transition counts under a Dirichlet prior."""
     if n.counts.shape != a.alpha.shape:
         raise ValueError(f"count shape {n.counts.shape} != prior shape {a.alpha.shape}")
-    s = _count_set(n.counts)  # a cell with n = 0 adds lnG(a) - lnG(a) = 0
+    s = _count_set(n.counts[None])  # a cell with n = 0 adds lnG(a) - lnG(a) = 0
     row_alpha = a.alpha.sum(axis=1)[None]  # the one-row case of k_sweep's (K, cells) priors
     row_terms = _log_rising(row_alpha + s.row_lead, s.rows, per_entry=True)
     return float(_log_evidence(s, a.alpha.take(s.lead)[None], a.alpha.take(s.rest)[None],
-                               row_alpha, row_terms)[0])
+                               row_alpha, row_terms)[0, 0])
 
 
 def rank_hypotheses(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
@@ -277,9 +291,10 @@ def k_sweep(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
     ``n.counts`` is one |S| x |S| count set or a stack of C of them, shaped
     (C, |S|, |S|); a stack returns, bit for bit, the concatenation of the
     sweeps of its count sets. The catalog is read once, so it may be a stream:
-    each belief matrix is row-normalized once, scored against every count set
-    and dropped. The k values are checked before any scoring; so is every
-    shape of a Sequence catalog, and each streamed hypothesis before its own.
+    each belief matrix is normalized at the observed cells alone, scored against
+    every count set at once and dropped. The k values are checked before any
+    scoring; so is every shape of a Sequence catalog, and each streamed
+    hypothesis before its own.
     """
     if not ks:
         raise ValueError("empty k grid")
@@ -290,31 +305,30 @@ def k_sweep(n: TransitionCounts, catalog: Iterable[HypothesisMatrix],
     if isinstance(catalog, Sequence):
         for h in catalog:
             _check_shape(h, shape)
-    scored: list[list[list[tuple[str, float]]]] = [[[] for _ in ks] for _ in stack]
-    units = [_count_set(counts) for counts in stack]
-    at_k = np.asarray(ks, dtype=float)[:, None]  # one row per k, against a set's cells
+    s = _count_set(stack)
+    rest_rows = s.rest // size
+    at_k = np.asarray(ks, dtype=float)[:, None]  # one row per k, against the sets' cells
     # each row's sum in exact arithmetic: |S| (1 + k) for a non-zero belief row, |S| for a zero one
     full, empty = size + at_k * size, np.full_like(at_k, size)
-    rows: list[tuple[np.ndarray, ...]] = []
-    hypotheses = 0
+    names, scores = [], []  # each hypothesis' name and (K, C) scores
     for h in catalog:  # alpha as in elicit_prior at the observed cells
-        beliefs = _row_normalized(_check_shape(h, shape).q)
-        if not rows:  # once the first hypothesis has passed its check
-            rows = [tuple(_log_rising(sums + s.row_lead, s.rows, per_entry=True)
-                          for sums in (full, empty)) for s in units]
-        believed = beliefs.any(axis=1)
-        for s, (at_full, at_empty), out in zip(units, rows, scored):
-            values = _log_evidence(s, _elicited(at_k, size, beliefs.take(s.lead)),
-                                   _elicited(at_k, size, beliefs.take(s.rest)),
-                                   np.where(believed, full, empty),
-                                   np.where(believed, at_full, at_empty))
-            for value, at in zip(values.tolist(), out):
-                at.append((h.name, value))
-        hypotheses += 1
-    if not hypotheses:
+        q = _check_shape(h, shape).q
+        if not names:  # once the first hypothesis has passed its check
+            at_full, at_empty = (_log_rising(total + s.row_lead, s.rows, per_entry=True)
+                                 for total in (full, empty))
+        sums = _row_sums(q)
+        believed = np.isfinite(sums)
+        scores.append(_log_evidence(s, _elicited(at_k, size, q.take(s.lead) / sums.take(s.busy)),
+                                    _elicited(at_k, size, q.take(s.rest) / sums.take(rest_rows)),
+                                    np.where(believed, full, empty),
+                                    np.where(np.tile(believed, len(stack)), at_full, at_empty)))
+        names.append(h.name)
+    if not names:
         raise ValueError("empty hypothesis catalog")
-    return [EvidenceResult(name, k, value, rank) for at_set in scored for k, at_k in zip(ks, at_set)
-            for rank, (name, value) in enumerate(sorted(at_k, key=lambda s: (-s[1], s[0])), 1)]
+    return [EvidenceResult(name, k, value, rank)
+            for at_set in np.transpose(scores, (2, 1, 0)).tolist() for k, at in zip(ks, at_set)
+            for rank, (name, value) in enumerate(
+                sorted(zip(names, at), key=lambda s: (-s[1], s[0])), 1)]
 
 
 def write_rankings(path, rows: Iterable[tuple[str, EvidenceResult]]) -> None:

@@ -116,12 +116,14 @@ def build_gaussian(space: StateSpace, sigma: float,
         dist, default_name = space.distances, f"proximity_sigma_{sigma:g}"
     else:
         lat, lon = np.array([(t.centroid.lat, t.centroid.lon) for t in space.tracts]).T
-        row = haversine_km(center.lat, center.lon, lat, lon)
-        dist, default_name = np.tile(row, (len(space), 1)), f"centroid_sigma_{sigma:g}"
+        dist, default_name = haversine_km(center.lat, center.lon, lat, lon), f"centroid_sigma_{sigma:g}"
     exponent = -dist ** 2 / (2.0 * sigma ** 2)
-    np.fill_diagonal(exponent, -np.inf)
     coef = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     q = coef * np.exp(exponent)
+    if center is not None:  # the landmark's row, evaluated once, is every row
+        exponent, q = np.tile(exponent, (len(space), 1)), np.tile(q, (len(space), 1))
+    np.fill_diagonal(exponent, -np.inf)
+    np.fill_diagonal(q, 0.0)
     peak = exponent.max(axis=1, keepdims=True)
     underflow = ~q.any(axis=1) & np.isfinite(peak[:, 0])
     q[underflow] = coef * np.exp(exponent[underflow] - peak[underflow])

@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .files import write_csv
+from .files import write_int_rows
 from .geo import HOURS_PER_WEEK, StateSpace, hour_of_week, locate
 
 # Rejection reasons, in the order the filters are applied; a record is
@@ -224,9 +224,16 @@ def load_raw_trips(path) -> tuple[np.ndarray, int]:
     return np.concatenate(parts), malformed
 
 
-def write_clean_trips(path, trips: Iterable[Trip]) -> None:
-    """Write the cleaned-trips file, whole or not at all."""
-    write_csv(path, Trip._fields, trips)
+def write_clean_trips(path, trips: Union[np.ndarray, Iterable[Trip]]) -> None:
+    """Write the cleaned-trips file, whole or not at all, from (m, 3) trip rows or ``Trip``s."""
+    if not isinstance(trips, np.ndarray):
+        trips = list(trips)
+        if {*map(len, trips)} - {3}:  # a row of another length would shift every later row
+            raise ValueError("every trip row must have 3 values")
+        trips = np.fromiter(chain.from_iterable(trips), dtype=np.int64).reshape(-1, 3)
+    if trips.ndim != 2 or trips.shape[1] != 3:
+        raise ValueError(f"trip rows must be (m, 3), got shape {trips.shape}")
+    write_int_rows(path, trips, Trip._fields)
 
 
 def load_clean_trips(path) -> np.ndarray:

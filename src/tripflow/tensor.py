@@ -247,7 +247,7 @@ def reconstruction_error(x: MobilityTensor, f: FactorSet) -> float:
     """Frobenius norm of the difference between the tensor and its CP model."""
     if (x.dims[0], x.dims[1], x.dims[2]) != (f.time.shape[0], f.pickup.shape[0], f.dropoff.shape[0]):
         raise ValueError(f"tensor dims {x.dims} do not match factor shapes")
-    return _error_from_slices(x.entries.T.copy(), x.values, x.dims,
+    return _error_from_slices(x.coords()[:3], x.values, x.dims,
                               (f.time, f.pickup, f.dropoff), f.scale)
 
 

@@ -321,6 +321,65 @@ class TestKSweep:
                 row_terms, evidence._log_rising(row_alpha + s.row_lead, s.rows, per_entry=True))
         assert calls[2][3][1, 2] == size != calls[1][3][1, 2]  # "partial"'s zero row at k = 10
 
+    def test_stack_is_scored_once_per_hypothesis(self, monkeypatch, grid_space):
+        calls = []
+
+        def spy(*args):
+            calls.append((args, scorer(*args)))
+            return calls[-1][1]
+
+        scorer = evidence._log_evidence
+        monkeypatch.setattr(evidence, "_log_evidence", spy)
+        size = len(grid_space)
+        rng = np.random.default_rng(11)
+        stack = rng.integers(0, 40, size=(3, size, size)) * (rng.random((3, size, size)) < 0.3)
+        stack[1] = 0  # an empty count set between two others
+        catalog = [build_uniform(size), build_inverse_distance(grid_space)]
+        ks = (0.0, 1.0, 10.0)
+        results = k_sweep(counts_of(stack), catalog, ks)
+        assert len(calls) == len(catalog)  # every count set in one call per hypothesis
+        for (s, lead_alpha, rest_alpha, row_alpha, row_terms), values in calls:
+            assert lead_alpha.shape == (len(ks), s.lead.size)  # (K, cells): a row per k
+            assert rest_alpha.shape == (len(ks), s.rest.size)
+            assert s.lead.size + s.rest.size == np.count_nonzero(stack)
+            assert row_alpha.shape == (len(ks), size)
+            assert row_terms.shape == (len(ks), len(stack) * size)
+            assert values.shape == (len(ks), len(stack))  # (K, C)
+        by_set = {(i // (len(ks) * len(catalog)), r.k, r.hypothesis): r.log_evidence
+                  for i, r in enumerate(results)}
+        for (_, values), h in zip(calls, catalog):
+            assert values.tolist() == [[by_set[c, k, h.name] for c in range(len(stack))]
+                                       for k in ks]
+
+    def test_set_sums_have_the_bits_of_each_set_alone(self):
+        rng = np.random.default_rng(5)
+        values = rng.random((3, 500)) * 10.0 ** rng.integers(-8, 8, size=(3, 500))
+        cuts = [0, 0, 37, 38, 290, 500]  # an empty set, a set of one and longer ones
+        sums = evidence._by_set(values, cuts)
+        assert sums.shape == (3, len(cuts) - 1)
+        for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            assert sums[:, c].tolist() == values[:, lo:hi].copy().sum(axis=1).tolist()
+
+    def test_overflowing_belief_row_is_a_zero_row(self, grid_space):
+        # q / inf is 0, as the sum of a belief row that overflows: the row elicits the flat prior
+        size = len(grid_space)
+        q = build_inverse_distance(grid_space).q.copy()
+        q[3] = 1e308
+        q[3, 3] = 0.0
+        zero = q.copy()
+        zero[3] = 0.0
+        catalog = [HypothesisMatrix("overflow", q), HypothesisMatrix("zero", zero)]
+        rng = np.random.default_rng(2)
+        n = counts_of(rng.integers(0, 5, size=(size, size)))
+        with np.errstate(over="ignore"):
+            results = k_sweep(n, catalog, (1.0, 10.0))
+            priors = [elicit_prior(h, 10.0).alpha for h in catalog]
+        by_k = {}
+        for r in results:
+            by_k.setdefault(r.k, set()).add(r.log_evidence)
+        assert all(len(scores) == 1 for scores in by_k.values())  # an exact tie at every k
+        np.testing.assert_array_equal(priors[0], priors[1])
+
     def test_empty_grid(self, grid_space):
         with pytest.raises(ValueError):
             k_sweep(counts_of(np.zeros((2, 2))), [build_uniform(2)], ())

@@ -168,6 +168,26 @@ class TestTripFiles:
         write_clean_trips(path, trips)
         assert [Trip(*row) for row in load_clean_trips(path).tolist()] == trips
 
+    def test_clean_trips_input_forms(self, tmp_path):
+        rows = np.array([[9, 3, 7], [120, 0, 19], [0, 10, 9], [167, 19, 0]], dtype=np.int64)
+        forms = {"array": rows, "trips": [Trip(*row) for row in rows.tolist()],
+                 "generator": (Trip(*row) for row in rows.tolist())}
+        for name, trips in forms.items():
+            write_clean_trips(tmp_path / name, trips)
+        expected = b"hour,pickup_tract,dropoff_tract\r\n9,3,7\r\n120,0,19\r\n0,10,9\r\n167,19,0\r\n"
+        assert {(tmp_path / name).read_bytes() for name in forms} == {expected}
+
+    @pytest.mark.parametrize("trips", [
+        [Trip(9, 3, 7), (1, 2), (3, 4, 5, 6)],  # six values in all: must not read as two rows
+        [(1, 2, 3, 4)] * 3,
+        np.zeros((2, 4), dtype=np.int64),
+        np.zeros(3, dtype=np.int64),
+    ], ids=["short_then_long", "four_wide", "array_four_wide", "vector"])
+    def test_clean_trips_rows_not_three_wide(self, tmp_path, trips):
+        with pytest.raises(ValueError):
+            write_clean_trips(tmp_path / "clean.csv", trips)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("write, payload, error", [
         (write_clean_trips, _disk_full_midway, "disk full"),
         (lambda path, rows: write_csv(path, Trip._fields, rows), _disk_full_midway, "disk full"),

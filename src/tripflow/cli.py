@@ -25,7 +25,6 @@ from .geo import HOURS_PER_WEEK, StateSpace, load_tracts
 from .hypotheses import build_catalog, iter_catalog
 from .ingest import REJECT_MALFORMED, TransitionCounts, clean_trips, load_clean_trips, \
     load_raw_trips, transition_counts, write_clean_trips
-from .synth import write_demo_fixture
 from .tensor import build_tensor, load_factors, ntf_decompose, save_factors
 
 
@@ -159,6 +158,8 @@ _STAGES = {  # in pipeline order
 
 
 def _synth(cfg: PipelineConfig) -> dict:
+    from .synth import write_demo_fixture  # here, so that no stage process loads fixture code
+
     _require(cfg, "output_dir")
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     return write_demo_fixture(Path(cfg.output_dir), seed=cfg.seed)

@@ -9,12 +9,12 @@ is where people go, not where they come from. Clusters may overlap.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .files import write_csv
-from .ingest import TransitionCounts, TripRows, transition_counts, trip_rows
+from .ingest import TransitionCounts, transition_counts, trip_rows
 from .tensor import FactorSet
 
 
@@ -35,7 +35,7 @@ def cluster_selection(f: FactorSet, component: int, n: int) -> tuple[list[int], 
     return top_indices(f.time[:, component], n), top_indices(f.dropoff[:, component], n)
 
 
-def cluster_counts(trips: TripRows, hours: Sequence[int], dropoffs: Sequence[int],
+def cluster_counts(trips: Iterable[Sequence[int]], hours: Sequence[int], dropoffs: Sequence[int],
                    size: int) -> TransitionCounts:
     """Transition counts of the trips whose hour and dropoff tract are both selected."""
     rows = trip_rows(trips, size)

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain, islice
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,16 +53,26 @@ class Trip(NamedTuple):
     dropoff_tract: int
 
 
-TripRows = Union[Sequence[Trip], np.ndarray]
+def _rows(trips: Iterable[Sequence[int]]) -> np.ndarray:
+    """The trips as an (m, 3) int64 array, from an array or any iterable of 3-value rows."""
+    if not isinstance(trips, np.ndarray):
+        trips = list(trips)
+        widths = sorted({*map(len, trips)})
+        if widths not in ([], [3]):  # checked first: a short row would shift every later one
+            # from the widths: numpy 1.x warns when np.shape meets ragged rows
+            got = (f"shape {(len(trips), *widths)}" if len(widths) == 1
+                   else f"rows of {', '.join(map(str, widths))} values")
+            raise ValueError(f"trip rows must be (m, 3), got {got}")
+        return np.fromiter(chain.from_iterable(trips), dtype=np.int64,
+                           count=3 * len(trips)).reshape(-1, 3)
+    if trips.ndim != 2 or trips.shape[1] != 3:
+        raise ValueError(f"trip rows must be (m, 3), got shape {trips.shape}")
+    return trips.astype(np.int64, copy=False)
 
 
-def trip_rows(trips: TripRows, size: int) -> np.ndarray:
+def trip_rows(trips: Iterable[Sequence[int]], size: int) -> np.ndarray:
     """The trips as an (m, 3) int64 array, every hour in the week and tract below ``size``."""
-    rows = np.asarray(trips, dtype=np.int64)
-    if rows.shape == (0,):  # an empty sequence
-        rows = rows.reshape(0, 3)
-    if rows.ndim != 2 or rows.shape[1] != 3:
-        raise ValueError(f"trip rows must be (m, 3), got shape {rows.shape}")
+    rows = _rows(trips)
     outside = ((rows < 0) | (rows >= (HOURS_PER_WEEK, size, size))).any(axis=1)
     if outside.any():
         raise IndexError(f"trip row {tuple(rows[np.argmax(outside)].tolist())} out of range "
@@ -122,7 +132,7 @@ def clean_trips(
     return np.column_stack((raw["hour"], tracts))[keep], tally
 
 
-def transition_counts(trips: TripRows, size: int) -> TransitionCounts:
+def transition_counts(trips: Iterable[Sequence[int]], size: int) -> TransitionCounts:
     """Count pickup-to-dropoff transitions into a |S| x |S| integer matrix."""
     rows = trip_rows(trips, size)
     counts = np.bincount(rows[:, 1] * size + rows[:, 2], minlength=size * size)
@@ -224,16 +234,9 @@ def load_raw_trips(path) -> tuple[np.ndarray, int]:
     return np.concatenate(parts), malformed
 
 
-def write_clean_trips(path, trips: Union[np.ndarray, Iterable[Trip]]) -> None:
-    """Write the cleaned-trips file, whole or not at all, from (m, 3) trip rows or ``Trip``s."""
-    if not isinstance(trips, np.ndarray):
-        trips = list(trips)
-        if {*map(len, trips)} - {3}:  # a row of another length would shift every later row
-            raise ValueError("every trip row must have 3 values")
-        trips = np.fromiter(chain.from_iterable(trips), dtype=np.int64).reshape(-1, 3)
-    if trips.ndim != 2 or trips.shape[1] != 3:
-        raise ValueError(f"trip rows must be (m, 3), got shape {trips.shape}")
-    write_int_rows(path, trips, Trip._fields)
+def write_clean_trips(path, trips: Iterable[Sequence[int]]) -> None:
+    """Write the cleaned-trips file, whole or not at all, from any rows ``trip_rows`` takes."""
+    write_int_rows(path, _rows(trips), Trip._fields)
 
 
 def load_clean_trips(path) -> np.ndarray:
@@ -241,6 +244,10 @@ def load_clean_trips(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8") as fh:
         if fh.readline().rstrip("\r\n") != ",".join(Trip._fields):
             raise ValueError(f"{path}: not a cleaned-trips file")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file holds zero trips
-            return np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2, usecols=(0, 1, 2))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file holds zero trips
+                rows = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+            return _rows(rows if len(rows) else rows.reshape(0, 3))  # loadtxt reads none as (0, 1)
+        except ValueError as exc:  # e.g. a row of 2 or 4 values
+            raise ValueError(f"{path}: {exc}") from None

@@ -20,12 +20,13 @@ cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .files import write_csv, write_json
 from .geo import HOURS_PER_WEEK
-from .ingest import TripRows, trip_rows
+from .ingest import trip_rows
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class MobilityTensor:
         return self.entries[:, 0], self.entries[:, 1], self.entries[:, 2], self.values
 
 
-def build_tensor(trips: TripRows, size: int) -> MobilityTensor:
+def build_tensor(trips: Iterable[Sequence[int]], size: int) -> MobilityTensor:
     """Accumulate trips into the hour x pickup x dropoff count tensor."""
     dims = (HOURS_PER_WEEK, size, size)
     cells, counts = np.unique(np.ravel_multi_index(trip_rows(trips, size).T, dims),

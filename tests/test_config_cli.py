@@ -8,6 +8,7 @@ import shutil
 import weakref
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,13 +17,13 @@ import pytest
 
 import tripflow.cli
 import tripflow.clusters
+import tripflow.files
 import tripflow.tensor
 from tripflow.cli import main, run_build_hypotheses, run_pipeline, run_rank
 from tripflow.config import _SECTIONS, ConfigError, PipelineConfig, load_config
 from tripflow.evidence import k_sweep, write_rankings
 from tripflow.geo import GeoPoint, load_tracts, write_tracts
-from tripflow.hypotheses import (CatalogConfig, CatalogConfigError, WeightVector, build_catalog,
-                                 build_intervening_opportunities, build_uniform)
+from tripflow.hypotheses import CatalogConfig, CatalogConfigError, build_catalog, build_uniform
 from tripflow.ingest import (TransitionCounts, load_clean_trips, transition_counts,
                              write_clean_trips)
 from tripflow.synth import demo_landmarks, generate_from_hypothesis, write_trips_file
@@ -371,22 +372,6 @@ class TestCli:
     def test_zero_rel_tol_is_valid(self):
         assert load_config(rel_tol=0.0).rel_tol == 0.0
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
-    def test_bad_io_eps_fails_before_any_stage(self, mini_fixture, grid_space, tmp_path,
-                                               capsys, value):
-        cfg = tmp_path / "eps.cfg"
-        cfg.write_text(f"[paths]\ntracts = {mini_fixture / 'tracts.csv'}\n"
-                       f"trips = {mini_fixture / 'trips.csv'}\noutput_dir = {tmp_path / 'out'}\n"
-                       f"[catalog]\nio_eps = {value}\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="io_eps"):
-            load_config(cfg)
-        assert main(["pipeline", "--config", str(cfg)]) == 2
-        assert "io_eps" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        w = WeightVector("w", np.ones(len(grid_space)))
-        with pytest.raises(ValueError, match="eps"):
-            build_intervening_opportunities(grid_space, w, float(value))
-
     def test_synth_config_loads_from_a_percent_path(self, tmp_path):
         root = tmp_path / "a%b"
         assert main(["synth", "--output-dir", str(root)]) == 0
@@ -545,6 +530,59 @@ class TestInterruptedStages:
         assert (mini_copy.parent / "out" / "cluster_0_counts.csv").is_file()
         assert main(["rank", "--config", str(mini_copy)]) == 1
         assert "run extract-clusters first" in capsys.readouterr().err
+
+    def test_every_write_failing_in_turn(self, mini_copy, monkeypatch, capsys):
+        # Rerun over the seed-42 outputs with fewer trips and another seed, which change
+        # every file but the catalog manifest, failing the n-th write. Each later stage must
+        # refuse to run for want of a producer's mark, or write what an uninterrupted rerun
+        # writes.
+        out, fewer = mini_copy.parent / "out", mini_copy.parent / "fewer.csv"
+        lines = load_config(mini_copy).trips.read_text(encoding="utf-8").splitlines(True)
+        fewer.write_text("".join(lines[:1500]), encoding="utf-8")
+        new = ["--config", str(mini_copy), "--trips", str(fewer), "--seed", "7"]
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        writes, fail_at, real = [], [0], tripflow.files.replaced
+
+        @contextmanager
+        def replaced(path):
+            writes.append(Path(path).name)
+            with real(path) as fh:
+                if len(writes) == fail_at[0]:
+                    raise OSError("disk full")
+                yield fh
+
+        monkeypatch.setattr(tripflow.files, "replaced", replaced)
+        stages, written_by = list(tripflow.cli._STAGES), []
+        for stage in stages:
+            count = len(writes)
+            assert main([stage, *new]) == 0
+            written_by += [stage] * (len(writes) - count)
+        clean, clean_writes = {p.name: p.read_bytes() for p in out.iterdir()}, list(writes)
+        assert writes[0] == "ingest_summary.json" and writes[-1] == "rankings.csv"
+        assert {name for name in old if old[name] != clean[name]} == set(old) - {
+            "catalog_manifest.csv"}
+        for n, failed in enumerate(written_by, start=1):
+            shutil.rmtree(out)
+            out.mkdir()
+            for name, data in old.items():
+                (out / name).write_bytes(data)
+            writes.clear()
+            fail_at[0] = n
+            assert main(["pipeline", *new]) == 1, n
+            assert f"stage {failed!r} failed: disk full" in capsys.readouterr().err
+            assert list(out.glob(".*.tmp")) == []
+            for stage in stages[stages.index(failed) + 1:]:
+                count = len(writes)
+                code, err = main([stage, *new]), capsys.readouterr().err
+                if code == 0:
+                    assert writes[count:] == [name for name, by in zip(clean_writes, written_by)
+                                              if by == stage]
+                    for name in writes[count:]:
+                        assert (out / name).read_bytes() == clean[name], (n, stage, name)
+                else:
+                    assert code == 1 and any(f"run {producer} first" in err
+                                             for producer in tripflow.cli._STAGES[stage].reads), \
+                        (n, stage, err)
 
 
 class TestStageMarks:
@@ -722,3 +760,12 @@ def test_blas_thread_count_leaves_dense_factors_unchanged(city_space, tmp_path):
                                                       stages, r=7)
     assert {"factors_meta.json", "factors_time.csv", "factors_trace.csv"} <= artifacts["1"].keys()
     assert artifacts["1"] == artifacts["2"]
+
+
+def test_imports_load_no_more_than_they_use():
+    # the package root only pins BLAS, and no stage process compiles the fixture code
+    script = ("import sys, tripflow\n"
+              "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('tripflow.')))\n"
+              "import tripflow.cli\n"
+              "print('tripflow.synth' in sys.modules)\n")
+    assert fresh_python("-c", script, env=dict(os.environ)).splitlines() == ["[]", "False"]

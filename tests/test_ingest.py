@@ -251,6 +251,14 @@ class TestTripFiles:
         with pytest.raises(ValueError, match="cleaned-trips"):
             load_clean_trips(path)
 
+    @pytest.mark.parametrize("rows", [b"9,3\r\n", b"9,3,7,99\r\n", b"9,3,7\r\n1,2,3,4\r\n"],
+                             ids=["two", "four", "four_after_three"])
+    def test_clean_loader_rejects_rows_not_three_wide(self, tmp_path, rows):
+        path = tmp_path / "clean.csv"
+        path.write_bytes(b"hour,pickup_tract,dropoff_tract\r\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_clean_trips(path)
+
     def test_clean_loader_header_only(self, tmp_path):
         path = tmp_path / "clean.csv"
         write_clean_trips(path, [])

@@ -83,6 +83,20 @@ def test_rows_not_three_wide_rejected(bad):
             consume()
 
 
+def test_ragged_rows_rejected_by_their_widths():
+    # built from the widths: numpy 1.x warns, not raises, on the shape of ragged rows
+    with pytest.raises(ValueError, match=re.escape("got rows of 2, 3, 4 values")):
+        trip_rows([Trip(9, 3, 7), (1, 2), (3, 4, 5, 6)], 20)
+
+
+def test_any_iterable_of_rows_gives_the_same_rows():
+    rows = np.array([[9, 3, 7], [120, 0, 19], [167, 19, 0]], dtype=np.int64)
+    for trips in (rows, rows.tolist(), [Trip(*row) for row in rows.tolist()],
+                  (Trip(*row) for row in rows.tolist()), map(tuple, rows.tolist())):
+        got = trip_rows(trips, 20)
+        assert got.dtype == np.int64 and got.tolist() == rows.tolist()
+
+
 @pytest.mark.parametrize("empty", [[], (), np.empty((0, 3), dtype=np.int64)])
 def test_empty_trips_give_zero_rows(empty):
     assert trip_rows(empty, 5).shape == (0, 3)

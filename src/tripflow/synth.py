@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import files
 from .files import replaced, write_json
 from .geo import GeoPoint, HOURS_PER_WEEK, StateSpace, Tract, write_tracts
 from .hypotheses import CatalogConfig, HypothesisMatrix, WeightVector, build_mass, build_uniform
-from .ingest import TRIPS_HEADER, Trip
+from .ingest import TRIPS_HEADER, Trip, trip_rows
 
 KM_PER_DEGREE_LAT = 111.32
 BASE_MONDAY = datetime(2013, 1, 7)  # a Monday, so hour-of-week 0 maps to 00:xx
@@ -64,6 +65,9 @@ def generate_state_space(grid: GridSpec, recipe: PropertyRecipe, seed: int) -> S
     n = grid.rows * grid.cols
     table = {key: rng.uniform(recipe.low, recipe.high, size=n) for key in recipe.keys}
     for key, cells in recipe.overrides.items():
+        for index in cells:  # numpy would wrap -1 to the last tract
+            if not 0 <= index < n:
+                raise ValueError(f"override {key!r} index {index} is outside 0..{n - 1}")
         table[key][list(cells)] = list(cells.values())
 
     tracts = []
@@ -109,12 +113,40 @@ def generate_trips(clusters: Sequence[PlantedCluster], space: StateSpace,
                    seed: int) -> list[Trip]:
     """Sample each planted cluster's trips independently per axis, in order."""
     rng = np.random.default_rng(seed)
-    trips: list[Trip] = []
+    parts = [np.empty((0, 3), dtype=np.int64)]
     for cluster in clusters:
         hours = _hours(rng, cluster.hour_weights, cluster.trip_count)
         pickups = _categorical(rng, cluster.pickup_weights, cluster.trip_count)
         dropoffs = _categorical(rng, cluster.dropoff_weights, cluster.trip_count)
-        trips.extend(Trip(*row) for row in np.column_stack((hours, pickups, dropoffs)).tolist())
+        parts.append(np.column_stack((hours, pickups, dropoffs)))
+    return list(map(Trip._make, np.concatenate(parts).tolist()))
+
+
+def _sample_from_hypothesis(q: HypothesisMatrix, start_weights: Sequence[float], count: int,
+                            seed: int, hour_weights: Optional[Mapping[int, float]]) -> np.ndarray:
+    """``generate_from_hypothesis``'s trips as (count, 3) int64 trip rows."""
+    starts = np.asarray(start_weights, dtype=float)
+    rows = q.q / np.maximum(q.q.sum(axis=1, keepdims=True), np.finfo(float).tiny)
+    reachable = np.flatnonzero(starts > 0)
+    dead = [int(i) for i in reachable if q.q[i].sum() == 0]
+    if dead:
+        raise ValueError(f"start tracts {dead} have all-zero belief rows")
+
+    rng = np.random.default_rng(seed)
+    trips = np.empty((count, 3), dtype=np.int64)
+    trips[:, 1] = pickups = _categorical(rng, starts, count)
+    trips[:, 0] = 0 if hour_weights is None else _hours(rng, hour_weights, count)
+    uniforms = rng.random(count)
+    # the draws grouped by pickup, one slice each; a radix sort up to 16-bit tract indices
+    order = np.argsort(pickups.astype(np.min_scalar_type(len(starts))), kind="stable")
+    grouped, counts = uniforms[order], np.bincount(pickups, minlength=len(starts))
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(counts):  # only rows that occur: a dead row's CDF would be 0/0
+        cdf = rows[i].cumsum()
+        cdf /= cdf[-1]
+        group = slice(ends[i] - counts[i], ends[i])
+        grouped[group] = cdf.searchsorted(grouped[group], side="right")
+    trips[order, 2] = grouped
     return trips
 
 
@@ -128,24 +160,8 @@ def generate_from_hypothesis(q: HypothesisMatrix, start_weights: Sequence[float]
     is supplied. Dropoffs take one uniform each and the inverse CDF of their
     pickup's row: the draws ``rng.choice(size, p=row)`` makes, trip by trip.
     """
-    starts = np.asarray(start_weights, dtype=float)
-    rows = q.q / np.maximum(q.q.sum(axis=1, keepdims=True), np.finfo(float).tiny)
-    reachable = np.flatnonzero(starts > 0)
-    dead = [int(i) for i in reachable if q.q[i].sum() == 0]
-    if dead:
-        raise ValueError(f"start tracts {dead} have all-zero belief rows")
-
-    rng = np.random.default_rng(seed)
-    pickups = _categorical(rng, starts, count)
-    hours = np.zeros(count, dtype=int) if hour_weights is None else _hours(rng, hour_weights, count)
-    uniforms = rng.random(count)
-    dropoffs = np.empty(count, dtype=np.int64)
-    for i in np.unique(pickups):  # only rows that occur: a dead row's CDF would be 0/0
-        cdf = rows[i].cumsum()
-        cdf /= cdf[-1]
-        picked = pickups == i
-        dropoffs[picked] = cdf.searchsorted(uniforms[picked], side="right")
-    return [Trip(*row) for row in np.column_stack((hours, pickups, dropoffs)).tolist()]
+    rows = _sample_from_hypothesis(q, start_weights, count, seed, hour_weights)
+    return list(map(Trip._make, rows.tolist()))
 
 
 def hour_to_datetime(hour: int) -> datetime:
@@ -153,24 +169,33 @@ def hour_to_datetime(hour: int) -> datetime:
     return BASE_MONDAY + timedelta(days=hour // 24, hours=hour % 24, minutes=30)
 
 
-def write_trips_file(path, trips: Sequence[Trip], space: StateSpace) -> None:
+def write_trips_file(path, trips: Iterable[Sequence[int]], space: StateSpace) -> None:
     """Serialize trips in the raw record format that ingestion consumes, whole or not at all.
 
+    Takes any rows ``ingest.trip_rows`` takes, and refuses the same rows.
     Endpoints are written as tract centroids, so cleaning locates every ride
     back to its original tract; odometer distance and duration are derived
     from the centroid distance and clamped positive.
     """
-    stamps = [hour_to_datetime(hour).isoformat() for hour in range(HOURS_PER_WEEK)]
-    pairs: dict[tuple[int, int], str] = {}
+    size = len(space)
+    rows = trip_rows(trips, size)
+    pairs, pair_of = np.unique(rows[:, 1] * size + rows[:, 2], return_inverse=True)
+    heads = np.array([hour_to_datetime(hour).isoformat() + ","
+                      for hour in range(HOURS_PER_WEEK)], dtype=object)
+    tails = np.empty(len(pairs), dtype=object)
+    for n, (pickup, dropoff) in enumerate(zip(*divmod(pairs, size))):
+        a, b = space.tracts[pickup].centroid, space.tracts[dropoff].centroid
+        km = float(space.distances[pickup, dropoff])
+        tails[n] = (f"{a.lat!r},{a.lon!r},{b.lat!r},{b.lon!r},"
+                    f"{max(km * 0.621371, 0.01)!r},{int(60 + 120 * km)},1\r\n")  # csv's ending
+    step = max(1, files._CHUNK_BYTES // (len(heads[0]) + max(map(len, tails), default=0)))
     with replaced(path) as fh:
         fh.write(",".join(TRIPS_HEADER) + "\r\n")
-        for hour, pickup, dropoff in trips:
-            if (pickup, dropoff) not in pairs:
-                a, b = space.tracts[pickup].centroid, space.tracts[dropoff].centroid
-                km = float(space.distances[pickup, dropoff])
-                pairs[pickup, dropoff] = (f"{a.lat!r},{a.lon!r},{b.lat!r},{b.lon!r},"
-                                          f"{max(km * 0.621371, 0.01)!r},{int(60 + 120 * km)},1")
-            fh.write(f"{stamps[hour]},{pairs[pickup, dropoff]}\r\n")  # csv's line ending
+        for lo in range(0, len(rows), step):
+            chunk = slice(lo, lo + step)
+            line = np.empty((len(rows[chunk]), 2), dtype=object)  # a head and a tail a row
+            line[:, 0], line[:, 1] = heads[rows[chunk, 0]], tails[pair_of[chunk]]
+            fh.write("".join(line.ravel().tolist()))
 
 
 # --- shipped demo fixture ------------------------------------------------------
@@ -197,23 +222,24 @@ def demo_landmarks(space: StateSpace) -> tuple[tuple[str, GeoPoint], ...]:
     return tuple((name, space.tracts[i].centroid) for name, i in picks)
 
 
-def build_demo_fixture(seed: int) -> tuple[StateSpace, list[Trip], dict]:
+def build_demo_fixture(seed: int) -> tuple[StateSpace, np.ndarray, dict]:
     """The shipped synthetic city: one planted weekend-night nightlife cluster.
 
     20,000 trips head toward high-nightlife tracts on weekend nights under a
     gravitational-target law; 30,000 background trips are uniform over hours
-    and tracts. Returns the state space, the trips, and a manifest describing
-    the planted structure for downstream oracles.
+    and tracts. Returns the state space, the trips as (50,000, 3) int64 trip
+    rows, planted first, and a manifest describing the planted structure for
+    downstream oracles.
     """
     space = generate_state_space(DEMO_GRID, demo_recipe(), seed)
     nightlife = WeightVector(name="venues_nightlife",
                              w=space.property_vector("venues_nightlife"))
     law = build_mass(space, nightlife, "gravitational_target")
     uniform_starts = np.ones(len(space))
-    planted = generate_from_hypothesis(
+    planted = _sample_from_hypothesis(
         law, uniform_starts, DEMO_PLANTED_TRIPS, seed + 1,
         hour_weights={h: 1.0 for h in DEMO_PLANTED_HOURS})
-    background = generate_from_hypothesis(
+    background = _sample_from_hypothesis(
         build_uniform(len(space)), uniform_starts, DEMO_BACKGROUND_TRIPS, seed + 2,
         hour_weights={h: 1.0 for h in range(HOURS_PER_WEEK)})
     manifest = {
@@ -224,7 +250,7 @@ def build_demo_fixture(seed: int) -> tuple[StateSpace, list[Trip], dict]:
         "planted_trips": DEMO_PLANTED_TRIPS,
         "background_trips": DEMO_BACKGROUND_TRIPS,
     }
-    return space, planted + background, manifest
+    return space, np.concatenate((planted, background)), manifest
 
 
 def write_demo_fixture(directory, seed: int) -> dict:

@@ -12,7 +12,8 @@ import pytest
 
 from tripflow.geo import EARTH_RADIUS_KM, GeoPoint, StateSpace, Tract
 from tripflow.hypotheses import CatalogConfig
-from tripflow.synth import GridSpec, PropertyRecipe, generate_state_space
+from tripflow.ingest import Trip
+from tripflow.synth import GridSpec, PropertyRecipe, _categorical, _hours, generate_state_space
 from tripflow.tensor import UPDATE_FLOOR, FactorSet, MobilityTensor, _normalize_columns
 
 
@@ -186,6 +187,44 @@ def loop_intervening_opportunities(space: StateSpace, w, eps: float) -> np.ndarr
         q[i] = numerator / np.maximum(denominator, 1.0)
     np.fill_diagonal(q, 0.0)
     return q
+
+
+# --- per-pickup mask sampling: the bodies that ``synth``'s grouped inverse-CDF sampling and
+# its array rows replaced, kept as their oracles
+
+
+def mask_from_hypothesis(q, start_weights, count, seed, hour_weights=None) -> np.ndarray:
+    """``generate_from_hypothesis``'s draws as (count, 3) rows, one full-length mask a pickup."""
+    starts = np.asarray(start_weights, dtype=float)
+    rows = q.q / np.maximum(q.q.sum(axis=1, keepdims=True), np.finfo(float).tiny)
+    reachable = np.flatnonzero(starts > 0)
+    dead = [int(i) for i in reachable if q.q[i].sum() == 0]
+    if dead:
+        raise ValueError(f"start tracts {dead} have all-zero belief rows")
+
+    rng = np.random.default_rng(seed)
+    pickups = _categorical(rng, starts, count)
+    hours = np.zeros(count, dtype=int) if hour_weights is None else _hours(rng, hour_weights, count)
+    uniforms = rng.random(count)
+    dropoffs = np.empty(count, dtype=np.int64)
+    for i in np.unique(pickups):  # only rows that occur: a dead row's CDF would be 0/0
+        cdf = rows[i].cumsum()
+        cdf /= cdf[-1]
+        picked = pickups == i
+        dropoffs[picked] = cdf.searchsorted(uniforms[picked], side="right")
+    return np.column_stack((hours, pickups, dropoffs))
+
+
+def per_cluster_trips(clusters, seed) -> list[Trip]:
+    """``generate_trips``' draws, one ``Trip`` list extended per cluster."""
+    rng = np.random.default_rng(seed)
+    trips: list[Trip] = []
+    for cluster in clusters:
+        hours = _hours(rng, cluster.hour_weights, cluster.trip_count)
+        pickups = _categorical(rng, cluster.pickup_weights, cluster.trip_count)
+        dropoffs = _categorical(rng, cluster.dropoff_weights, cluster.trip_count)
+        trips.extend(Trip(*row) for row in np.column_stack((hours, pickups, dropoffs)).tolist())
+    return trips
 
 
 # --- NTF kernels: the bodies that ``tensor._mttkrp``, ``tensor._error_from_slices`` and the

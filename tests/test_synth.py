@@ -1,14 +1,16 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
-from tripflow import synth
+from tripflow import files, synth
 from tripflow.cli import main
 from tripflow.geo import hour_of_week, load_tracts
-from tripflow.hypotheses import HypothesisMatrix, build_uniform
+from tripflow.hypotheses import HypothesisMatrix, WeightVector, build_mass, build_uniform
 from tripflow.ingest import TRIPS_HEADER, Trip, clean_trips, load_raw_trips
 from tripflow.synth import (
+    DEMO_PLANTED_HOURS,
     GridSpec,
     PlantedCluster,
     PropertyRecipe,
@@ -21,6 +23,8 @@ from tripflow.synth import (
     write_trips_file,
 )
 from tripflow.geo import write_tracts
+
+from conftest import mask_from_hypothesis, per_cluster_trips
 
 
 class TestStateSpaceGeneration:
@@ -56,6 +60,13 @@ class TestStateSpaceGeneration:
                                 overrides={"venues_nightlife": {3: 777.0}})
         space = generate_state_space(GridSpec(rows=2, cols=2), recipe, seed=1)
         assert space.properties["venues_nightlife"][3] == 777.0
+
+    @pytest.mark.parametrize("index", [-1, 4, 5])
+    def test_override_outside_the_grid_rejected(self, index):
+        recipe = PropertyRecipe(keys=("venues_nightlife",),
+                                overrides={"venues_nightlife": {0: 5.0, index: 777.0}})
+        with pytest.raises(ValueError, match=rf"'venues_nightlife' index {index} .* 0\.\.3"):
+            generate_state_space(GridSpec(rows=2, cols=2), recipe, seed=1)
 
     def test_degenerate_grid(self):
         with pytest.raises(ValueError):
@@ -172,6 +183,77 @@ class TestGenerateFromHypothesis:
         assert all(t.pickup_tract != 1 for t in trips)
 
 
+def random_law(size: int, seed: int) -> tuple[HypothesisMatrix, np.ndarray]:
+    """A skewed random law with a dead row, and start weights that are zero there and elsewhere."""
+    rng = np.random.default_rng(100 + seed)
+    q = rng.random((size, size)) ** 4
+    np.fill_diagonal(q, 0.0)
+    q[7] = 0.0  # unreachable all-zero row
+    starts = rng.random(size)
+    starts[7] = starts[::3] = 0.0
+    return HypothesisMatrix("random", q), starts
+
+
+SOME_HOURS = {h: 1.0 + h % 7 for h in range(0, 168, 5)}
+
+
+class TestMaskOracle:
+    """Both samplers and the demo fixture draw the rows of the per-pickup mask sampler."""
+
+    @pytest.mark.parametrize("size", [20, 288])
+    @pytest.mark.parametrize("count", [0, 1, 20_000])
+    @pytest.mark.parametrize("hour_weights", [None, SOME_HOURS], ids=["hour_0", "hours"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_from_hypothesis(self, size, count, hour_weights, seed):
+        q, starts = random_law(size, seed)
+        expected = mask_from_hypothesis(q, starts, count, seed, hour_weights)
+        trips = generate_from_hypothesis(q, starts, count, seed, hour_weights=hour_weights)
+        assert trips == list(map(Trip._make, expected.tolist()))
+        assert all(type(v) is int for trip in trips[:1] for v in trip)
+
+    @pytest.mark.parametrize("size", [20, 288])
+    @pytest.mark.parametrize("case", ["dead_row", "zero_starts"])
+    def test_refusals(self, size, case):
+        q, starts = random_law(size, 1)
+        if case == "dead_row":
+            starts[7] = 1.0
+        else:
+            starts[:] = 0.0
+        with pytest.raises(ValueError) as expected:
+            mask_from_hypothesis(q, starts, 10, 1)
+        with pytest.raises(ValueError) as got:
+            generate_from_hypothesis(q, starts, 10, 1)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("space_name", ["grid_space", "city_space"])
+    @pytest.mark.parametrize("count", [0, 1, 20_000])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_per_axis(self, request, space_name, count, seed):
+        space = request.getfixturevalue(space_name)
+        _, starts = random_law(len(space), seed)
+        clusters = [PlantedCluster(hour_weights=SOME_HOURS, pickup_weights=starts,
+                                   dropoff_weights=starts[::-1], trip_count=count),
+                    PlantedCluster(hour_weights={3: 1.0}, pickup_weights=np.ones(len(space)),
+                                   dropoff_weights=starts, trip_count=count // 2)]
+        assert generate_trips(clusters, space, seed) == per_cluster_trips(clusters, seed)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_demo_fixture(self, seed):
+        space, trips, manifest = build_demo_fixture(seed=seed)
+        law = build_mass(space, WeightVector("venues_nightlife",
+                                             space.property_vector("venues_nightlife")),
+                         "gravitational_target")
+        starts = np.ones(len(space))
+        expected = np.concatenate((
+            mask_from_hypothesis(law, starts, manifest["planted_trips"], seed + 1,
+                                 {h: 1.0 for h in DEMO_PLANTED_HOURS}),
+            mask_from_hypothesis(build_uniform(len(space)), starts,
+                                 manifest["background_trips"], seed + 2,
+                                 {h: 1.0 for h in range(168)})))
+        assert trips.dtype == np.int64 and trips.shape == (50_000, 3)
+        np.testing.assert_array_equal(trips, expected)
+
+
 def test_hour_to_datetime_roundtrip():
     for hour in range(168):
         assert hour_of_week(hour_to_datetime(hour)) == hour
@@ -209,11 +291,43 @@ def per_row_trips_file(path, trips, space):
 
 
 @pytest.mark.parametrize("seed", [1, 42])
-def test_trips_file_bytes_equal_per_row_writer(tmp_path, seed):
-    space, trips, _ = build_demo_fixture(seed=seed)
-    write_trips_file(tmp_path / "fast.csv", trips, space)
-    per_row_trips_file(tmp_path / "reference.csv", trips, space)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+def test_trips_file_bytes_equal_per_row_writer(tmp_path, monkeypatch, seed):
+    space, rows, _ = build_demo_fixture(seed=seed)
+    trips = list(map(Trip._make, rows.tolist()))
+    chunk_rows = files._CHUNK_BYTES // 120  # a row is below 120 bytes
+    assert len(rows) > 3 * chunk_rows
+    forms = {"array": (rows, trips), "trips": (trips, trips), "empty": (rows[:0], []),
+             "list_of_lists": (rows[:100].tolist(), trips[:100])}
+    for name, (given, reference) in forms.items():
+        write_trips_file(tmp_path / f"{name}.csv", given, space)
+        per_row_trips_file(tmp_path / f"{name}_reference.csv", reference, space)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", 1000)  # about ten rows a chunk
+    for name, count in (("chunks", 1001), ("one_chunk", 9), ("row_a_chunk", 1)):
+        write_trips_file(tmp_path / f"{name}.csv", rows[:count], space)
+        per_row_trips_file(tmp_path / f"{name}_reference.csv", trips[:count], space)
+    for name in (*forms, "chunks", "one_chunk", "row_a_chunk"):
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_reference.csv").read_bytes()), name
+    assert (tmp_path / "empty.csv").read_text() == ",".join(TRIPS_HEADER) + "\n"
+
+
+@pytest.mark.parametrize("row", [(-1, -2, 3), (0, 3, -1), (168, 0, 1), (0, 20, 1)])
+def test_trips_file_refuses_rows_outside_the_week_or_space(tmp_path, grid_space, row):
+    with pytest.raises(IndexError, match="out of range"):
+        write_trips_file(tmp_path / "trips.csv", [Trip(9, 3, 7), row], grid_space)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_demo_fixture_bytes_are_pinned(tmp_path):
+    """The seed-42 demo files: every comparison of two commits' benchmarks reads these bytes."""
+    write_demo_fixture(tmp_path, seed=42)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("tracts.csv", "trips.csv", "demo_manifest.json")}
+    assert digests == {
+        "tracts.csv": "5e383ede6107b73f3ba10ce68edba0ae914ba9f35d5239ca69c5ce1cd0a7ea1d",
+        "trips.csv": "4e875829a32e54e71e434bc5c54096e60d5f283d83fda093d60a8d05d7f6cad7",
+        "demo_manifest.json": "13dac6ef5204d952f2bf7d047cf7c9255ba8cb9186f1605041b2e9dff3de1f39",
+    }
 
 
 class TestDemoFixture:
@@ -221,8 +335,7 @@ class TestDemoFixture:
         space, trips, manifest = build_demo_fixture(seed=42)
         assert len(space) == 20
         assert len(trips) == manifest["planted_trips"] + manifest["background_trips"]
-        planted = trips[:manifest["planted_trips"]]
-        assert {t.hour for t in planted} == set(manifest["planted_hours"])
+        assert set(trips[:manifest["planted_trips"], 0].tolist()) == set(manifest["planted_hours"])
 
     def test_hotspots_carry_the_nightlife_mass(self):
         space, _, manifest = build_demo_fixture(seed=42)

@@ -11,6 +11,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -105,27 +106,14 @@ class StateSpace:
     """Ordered tract set with its indicator table and centroid-to-centroid distances.
 
     A tract's index is its place in ``tracts``. ``properties`` maps each indicator
-    name to one read-only column of non-negative reals in that order. ``distances``
-    is symmetric, zero on the diagonal, and floored at ``MIN_DISTANCE_KM``
-    off-diagonal so the inverse-distance hypothesis formulas stay finite even for
-    coincident centroids.
+    name to one read-only column of non-negative reals in that order.
     """
 
     tracts: tuple[Tract, ...]
-    distances: np.ndarray
     properties: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.tracts)
-        if self.distances.shape != (n, n):
-            raise ValueError("distance matrix shape does not match tract count")
-        if np.diagonal(self.distances).any():
-            raise ValueError("distance diagonal must be zero")
-        if not np.array_equal(self.distances, self.distances.T):
-            raise ValueError("distance matrix must be symmetric")
-        if (self.distances[~np.eye(n, dtype=bool)] < MIN_DISTANCE_KM).any():
-            raise ValueError(f"off-diagonal distances must be >= {MIN_DISTANCE_KM} km")
-        self.distances.setflags(write=False)
         for key, column in self.properties.items():
             ok = np.isfinite(column) & (column >= 0)
             if column.shape != (n,) or not ok.all():
@@ -137,20 +125,31 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.tracts)
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only haversine km between centroids, computed on first read.
+
+        Symmetric, zero on the diagonal, and floored at ``MIN_DISTANCE_KM``
+        off-diagonal so the inverse-distance hypothesis formulas stay finite even
+        for coincident centroids.
+        """
+        n = len(self.tracts)
+        lat, lon = np.array([(t.centroid.lat, t.centroid.lon) for t in self.tracts]).reshape(-1, 2).T
+        i, j = np.triu_indices(n, 1)
+        dist = np.zeros((n, n))
+        dist[i, j] = dist[j, i] = np.maximum(haversine_km(lat[i], lon[i], lat[j], lon[j]),
+                                             MIN_DISTANCE_KM)
+        dist.setflags(write=False)
+        return dist
+
     @classmethod
     def from_tracts(cls, tracts: Iterable[Tract],
                     properties: Optional[Mapping[str, Sequence[float]]] = None) -> "StateSpace":
         """The space of ``tracts`` in their order; ``tract_area`` is their areas unless given."""
         tracts = tuple(tracts)
-        n = len(tracts)
         table = {key: np.array(column, dtype=float) for key, column in (properties or {}).items()}
         table.setdefault("tract_area", np.array([t.area for t in tracts], dtype=float))
-        lat, lon = np.array([(t.centroid.lat, t.centroid.lon) for t in tracts]).reshape(-1, 2).T
-        i, j = np.triu_indices(n, 1)
-        dist = np.zeros((n, n))
-        dist[i, j] = dist[j, i] = np.maximum(haversine_km(lat[i], lon[i], lat[j], lon[j]),
-                                             MIN_DISTANCE_KM)
-        return cls(tracts=tracts, distances=dist, properties=table)
+        return cls(tracts=tracts, properties=table)
 
     def property_vector(self, key: str) -> np.ndarray:
         """Per-tract values of one named indicator, in index order (read-only)."""
@@ -213,9 +212,9 @@ def load_tracts(path) -> StateSpace:
     zero or more numeric property columns whose names become property keys;
     columns with an empty name are ignored. The polygon cell may be empty;
     when present it is semicolon-separated ``lat lon`` pairs. A repeated
-    header name, a repeated ``tract_id``, a missing, empty or non-numeric cell
-    and a value that breaks a rule of GeoPoint, Tract or StateSpace are
-    rejected by name.
+    header name, a repeated ``tract_id``, a row with more fields than the
+    header, a missing, empty or non-numeric cell and a value that breaks a
+    rule of GeoPoint, Tract or StateSpace are rejected by name.
     """
     reserved = ("tract_id", "lat", "lon", "area_sqkm", "polygon")
     tracts: dict[str, Tract] = {}
@@ -230,6 +229,10 @@ def load_tracts(path) -> StateSpace:
         columns: dict[str, list[float]] = {key: [] for key in names[5:]}
         for row in reader:
             tract_id = row["tract_id"]
+            if None in row:  # DictReader files the fields past the header's under None
+                width = len(reader.fieldnames)
+                raise ValueError(f"{path}: tract {tract_id!r}: {width + len(row[None])} fields, "
+                                 f"header has {width}")
             if tract_id in tracts:
                 raise ValueError(f"{path}: duplicate tract_id {tract_id!r}")
             for key, column in columns.items():

@@ -92,10 +92,8 @@ def build_uniform(size: int) -> HypothesisMatrix:
 
 def build_inverse_distance(space: StateSpace) -> HypothesisMatrix:
     """Belief decays as 1/distance; nearer targets are more plausible."""
-    q = np.zeros((len(space), len(space)))
-    off = ~np.eye(len(space), dtype=bool)
-    q[off] = 1.0 / space.distances[off]
-    return _finish("inverse_distance", q)
+    with np.errstate(divide="ignore"):  # _finish zeroes the diagonal's 1/0
+        return _finish("inverse_distance", 1.0 / space.distances)
 
 
 def build_gaussian(space: StateSpace, sigma: float,
@@ -138,16 +136,15 @@ def build_mass(space: StateSpace, w: WeightVector, variant: str) -> HypothesisMa
     gravitational_mass: origin times target mass over distance.
     """
     weights = _check_weights(space, w)
-    n = len(space)
-    dist_safe = space.distances + np.eye(n)  # diagonal discarded below
-    if variant in ("density", "popularity"):
-        q = np.tile(weights, (n, 1))
-    elif variant == "gravitational_target":
-        q = weights[None, :] / dist_safe
-    elif variant == "gravitational_mass":
-        q = np.outer(weights, weights) / dist_safe
-    else:
-        raise ValueError(f"unknown mass variant {variant!r}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # _finish zeroes the diagonal's w/0
+        if variant in ("density", "popularity"):
+            q = np.tile(weights, (len(space), 1))
+        elif variant == "gravitational_target":
+            q = weights[None, :] / space.distances
+        elif variant == "gravitational_mass":
+            q = np.outer(weights, weights) / space.distances
+        else:
+            raise ValueError(f"unknown mass variant {variant!r}")
     return _finish(f"{variant}_{w.name}", q)
 
 

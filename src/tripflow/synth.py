@@ -65,8 +65,10 @@ def generate_state_space(grid: GridSpec, recipe: PropertyRecipe, seed: int) -> S
     n = grid.rows * grid.cols
     table = {key: rng.uniform(recipe.low, recipe.high, size=n) for key in recipe.keys}
     for key, cells in recipe.overrides.items():
-        for index in cells:  # numpy would wrap -1 to the last tract
-            if not 0 <= index < n:
+        if key not in table:
+            raise ValueError(f"override {key!r} is not one of the recipe's keys {recipe.keys}")
+        for index in cells:  # numpy would wrap -1 to the last tract and read bools as a mask
+            if isinstance(index, (bool, np.bool_)) or not 0 <= index < n:
                 raise ValueError(f"override {key!r} index {index} is outside 0..{n - 1}")
         table[key][list(cells)] = list(cells.values())
 

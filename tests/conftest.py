@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tripflow.geo import EARTH_RADIUS_KM, GeoPoint, StateSpace, Tract
+from tripflow.geo import EARTH_RADIUS_KM, MIN_DISTANCE_KM, GeoPoint, StateSpace, Tract
 from tripflow.hypotheses import CatalogConfig
 from tripflow.ingest import Trip
 from tripflow.synth import GridSpec, PropertyRecipe, _categorical, _hours, generate_state_space
@@ -21,13 +21,23 @@ def make_space(distances, properties=None) -> StateSpace:
     """State space with an explicit distance matrix, throwaway geometry and property columns.
 
     Lets tests pin exact distances (collinear layouts, dist == 1 everywhere)
-    without reverse-engineering coordinates.
+    without reverse-engineering coordinates. The matrix must keep the
+    invariants of a derived one: square, zero on the diagonal, symmetric, and
+    at least ``MIN_DISTANCE_KM`` off the diagonal.
     """
-    distances = np.asarray(distances, dtype=float)
+    distances = np.array(distances, dtype=float)
+    n = len(distances)
+    assert distances.shape == (n, n)
+    assert not np.diagonal(distances).any()
+    assert np.array_equal(distances, distances.T)
+    assert (distances[~np.eye(n, dtype=bool)] >= MIN_DISTANCE_KM).all()
+    distances.setflags(write=False)
     tracts = tuple(Tract(id=f"T{i}", centroid=GeoPoint(0.0, i * 0.01), area=1.0)
-                   for i in range(distances.shape[0]))
+                   for i in range(n))
     columns = {key: np.array(column, dtype=float) for key, column in (properties or {}).items()}
-    return StateSpace(tracts=tracts, distances=distances, properties=columns)
+    space = StateSpace(tracts=tracts, properties=columns)
+    space.__dict__["distances"] = distances  # pinned: the cached property never computes
+    return space
 
 
 @pytest.fixture(scope="session")

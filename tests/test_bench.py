@@ -1,4 +1,4 @@
-"""Smoke runs of the benchmark harness at demo and city size."""
+"""Smoke runs of the benchmark harness at demo, city and metro size."""
 
 import json
 import subprocess
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 
-@pytest.mark.parametrize("workload", ["demo", "city"])
+@pytest.mark.parametrize("workload", ["demo", "city", "metro"])
 def test_smoke_run_is_correct(workload):
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",

@@ -18,6 +18,7 @@ import pytest
 import tripflow.cli
 import tripflow.clusters
 import tripflow.files
+import tripflow.geo
 import tripflow.tensor
 from tripflow.cli import main, run_build_hypotheses, run_pipeline, run_rank
 from tripflow.config import _SECTIONS, ConfigError, PipelineConfig, load_config
@@ -629,6 +630,24 @@ class TestStageMarks:
             assert main([stage, "--config", str(cfg)]) == 0, stage
         expected = {p.name: p.read_bytes() for p in full.iterdir() if p.name != "ingest_summary.json"}
         assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
+
+def test_stages_that_read_no_distance_never_derive_them(mini_fixture, tmp_path, monkeypatch):
+    """ingest, factorize and extract-clusters locate by polygon and count trips only."""
+    def refuse(*args):
+        raise AssertionError("a distance was computed")
+
+    written = {}
+    for side in ("plain", "refusing"):
+        if side == "refusing":
+            monkeypatch.setattr(tripflow.geo, "haversine_km", refuse)
+        out = tmp_path / side
+        for stage in ("ingest", "factorize", "extract-clusters"):
+            code = main([stage, "--config", str(mini_fixture / "mini.cfg"), "--output-dir", str(out)])
+            assert code == 0, (side, stage)
+        written[side] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "overall_counts.csv" in written["plain"]
+    assert written["refusing"] == written["plain"]
 
 
 class TestStreamedRank:

@@ -254,7 +254,7 @@ class TestLocateOracle:
 
 
 def scalar_distances(tracts):
-    """The pairwise haversine loop that ``StateSpace.from_tracts`` replaced."""
+    """The pairwise haversine loop that ``StateSpace.distances`` replaced."""
     n = len(tracts)
     dist = np.zeros((n, n))
     for i in range(n):
@@ -272,6 +272,7 @@ class TestStateSpace:
         assert not np.diagonal(d).any()
         off = ~np.eye(6, dtype=bool)
         assert (d[off] >= MIN_DISTANCE_KM).all()
+        assert d.flags.writeable is False
 
     def test_coincident_centroids_clamped(self):
         space = StateSpace.from_tracts([tract(0, 0.0, 0.0), tract(1, 0.0, 0.0)])
@@ -433,6 +434,19 @@ class TestTractsFile:
         message = str(caught.value)
         assert message.startswith(f"{path}: tract 'b', column '{column}': ")
         assert text in message
+
+    @pytest.mark.parametrize("header, cells, text", [
+        ("venues_all", "0.0,0.0,1.0,,1,234", "7 fields, header has 6"),
+        ("venues_all,,", "0.0,0.0,1.0,,1,2,3,4", "9 fields, header has 8"),
+    ], ids=["unquoted_comma", "past_empty_names"])
+    def test_row_wider_than_header_named_by_path_and_tract(self, tmp_path, header, cells, text):
+        path = tmp_path / "tracts.csv"
+        path.write_text(f"tract_id,lat,lon,area_sqkm,polygon,{header}\n"
+                        f"a,0.0,0.0,1.0,,2{',' * header.count(',')}\nb,{cells}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            load_tracts(path)
+        assert str(caught.value) == f"{path}: tract 'b': {text}"
 
     @pytest.mark.parametrize("cells, column, text", [
         ("95,0.0,1.0,,2", "lat", "lat must be finite and within [-90, 90], got 95.0"),

@@ -61,11 +61,17 @@ class TestStateSpaceGeneration:
         space = generate_state_space(GridSpec(rows=2, cols=2), recipe, seed=1)
         assert space.properties["venues_nightlife"][3] == 777.0
 
-    @pytest.mark.parametrize("index", [-1, 4, 5])
+    @pytest.mark.parametrize("index", [-1, 4, 5, True])
     def test_override_outside_the_grid_rejected(self, index):
         recipe = PropertyRecipe(keys=("venues_nightlife",),
                                 overrides={"venues_nightlife": {0: 5.0, index: 777.0}})
         with pytest.raises(ValueError, match=rf"'venues_nightlife' index {index} .* 0\.\.3"):
+            generate_state_space(GridSpec(rows=2, cols=2), recipe, seed=1)
+
+    def test_override_of_an_unknown_key_rejected(self):
+        recipe = PropertyRecipe(keys=("venues_nightlife",), overrides={"checkins": {0: 5.0}})
+        with pytest.raises(ValueError, match=r"override 'checkins' is not one of the recipe's "
+                                             r"keys \('venues_nightlife',\)"):
             generate_state_space(GridSpec(rows=2, cols=2), recipe, seed=1)
 
     def test_degenerate_grid(self):

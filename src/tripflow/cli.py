@@ -61,7 +61,7 @@ def _open_stage(cfg: PipelineConfig, name: str, *paths: str) -> tuple[StateSpace
 def run_ingest(cfg: PipelineConfig) -> dict:
     space, out = _open_stage(cfg, "ingest", "trips")
     raw, malformed = load_raw_trips(cfg.trips)
-    trips, tally = clean_trips(raw, space, exclude_self_loops=cfg.exclude_self_loops)
+    trips, tally = clean_trips(raw, space)
     if malformed:
         tally[REJECT_MALFORMED] = malformed
     summary = {"accepted": len(trips), "rejected": tally,
@@ -191,8 +191,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=float, action="append",
                         help="concentration value; repeat for a grid (default "
                              + ",".join(f"{k:g}" for k in defaults.k_grid) + ")")
-    parser.add_argument("--include-self-loops", action="store_true",
-                        help="keep rides that start and end in the same tract")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,8 +211,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, tracts=args.tracts, trips=args.trips,
                           output_dir=args.output_dir, seed=args.seed, r=args.r, n=args.n,
-                          k_grid=tuple(args.k) if args.k else None,
-                          exclude_self_loops=False if args.include_self_loops else None)
+                          k_grid=tuple(args.k) if args.k else None)
         if args.command == "synth":
             manifest = _run("synth", _synth, cfg)
             print(f"synth: wrote fixture to {Path(cfg.output_dir)} "

@@ -3,10 +3,10 @@
 The config file is INI-style with three sections. ``[paths]`` holds tracts,
 trips, and output_dir; ``[pipeline]`` holds the numeric knobs (named exactly
 as the PipelineConfig fields); ``[catalog]`` optionally sets the catalog's
-landmarks and sigma grid (named exactly as the CatalogConfig fields). Each key
-belongs to exactly one section. Every default reproduces the values baked
-into the library: r=7 components, top-10 selection, k grid
-{0,1,5,10,50,100}, the seven-value sigma grid, seed 42.
+landmarks (named exactly as the CatalogConfig field). Each key belongs to
+exactly one section, and a key under ``[DEFAULT]`` is unknown. Every default
+reproduces the values baked into the library: r=7 components, top-10
+selection, k grid {0,1,5,10,50,100}, seed 42.
 
 Path entries can also come from the environment: TRIPFLOW_TRACTS,
 TRIPFLOW_TRIPS, and TRIPFLOW_OUTPUT_DIR override the file when set.
@@ -42,7 +42,6 @@ class PipelineConfig:
     seed: int = NtfOptions.seed
     max_iters: int = NtfOptions.max_iters
     rel_tol: float = NtfOptions.rel_tol
-    exclude_self_loops: bool = True
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
 
     def ntf_options(self) -> NtfOptions:
@@ -54,13 +53,6 @@ class PipelineConfig:
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.replace(",", " ").split())
-
-
-def _bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
 def _landmarks(text: str) -> tuple[tuple[str, GeoPoint], ...]:
@@ -78,7 +70,7 @@ def _landmarks(text: str) -> tuple[tuple[str, GeoPoint], ...]:
     return tuple(landmarks)
 
 
-_PARSERS = {Optional[Path]: Path, int: int, float: float, bool: _bool, tuple[float, ...]: _floats,
+_PARSERS = {Optional[Path]: Path, int: int, float: float, tuple[float, ...]: _floats,
             tuple[tuple[str, GeoPoint], ...]: _landmarks}
 
 
@@ -130,6 +122,8 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         _check_keys("the config file", parser.sections(), _SECTIONS)
+        # configparser would copy a [DEFAULT] key into every section, so none is allowed
+        _check_keys("[DEFAULT]", parser.defaults(), ())
         values.update(_parse_section(parser, "paths"))
         values.update(_parse_section(parser, "pipeline"))
         catalog = _parse_section(parser, "catalog")
@@ -157,12 +151,8 @@ def load_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
         raise ConfigError("k_grid must list at least one value")
     if any(not 0 <= k < math.inf for k in config.k_grid):
         raise ConfigError("k values must be finite and >= 0")
-    if any(not 0 < s < math.inf for s in config.catalog.sigma_grid):
-        raise ConfigError("sigma values must be finite and > 0")
-    # a sigma's {:g} label and a landmark's name are parts of hypothesis names, which must differ
+    # a landmark's name is part of hypothesis names, which must differ
     for key, what, items in (("k_grid", "value", config.k_grid),
-                             ("sigma_grid", "label",
-                              [f"{s:g}" for s in config.catalog.sigma_grid]),
                              ("landmarks", "name", [name for name, _ in config.catalog.landmarks])):
         repeated = sorted({str(v) for i, v in enumerate(items) if v in items[:i]})
         if repeated:

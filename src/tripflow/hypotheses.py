@@ -219,15 +219,15 @@ DEFAULT_LANDMARKS = (
 class CatalogConfig:
     """Parameters of the default hypothesis catalog.
 
-    The defaults build exactly 70 hypotheses: 1 uniform, 29 distance-based
-    (inverse distance, plus proximity and one kernel per landmark over the
-    sigma grid), 17 venue-derived, and 23 census-derived. The landmarks and
-    the sigma grid are settings; the property columns the catalog reads and
-    the intervening-opportunities tolerance (km) are fixed.
+    With three landmarks the catalog holds exactly 70 hypotheses: 1 uniform,
+    29 distance-based (inverse distance, plus proximity and one kernel per
+    landmark over the fixed seven-value sigma grid), 17 venue-derived, and 23
+    census-derived. The landmarks are the one setting; the sigma grid, the
+    property columns the catalog reads and the intervening-opportunities
+    tolerance (km) are fixed.
     """
 
     landmarks: tuple[tuple[str, GeoPoint], ...] = DEFAULT_LANDMARKS
-    sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
 
     all_venues_key: ClassVar[str] = "venues_all"
     checkins_key: ClassVar[str] = "checkins"
@@ -280,10 +280,10 @@ def _hypotheses(space: StateSpace, config: CatalogConfig) -> Iterator[Hypothesis
     yield build_uniform(len(space))
 
     yield build_inverse_distance(space)
-    for sigma in config.sigma_grid:
+    for sigma in DEFAULT_SIGMA_GRID:
         yield build_gaussian(space, sigma)
     for landmark_name, point in config.landmarks:
-        for sigma in config.sigma_grid:
+        for sigma in DEFAULT_SIGMA_GRID:
             yield build_gaussian(space, sigma, center=point,
                                  name=f"centroid_{landmark_name}_sigma_{sigma:g}")
 

@@ -95,16 +95,12 @@ class TransitionCounts:
         return int(self.counts.sum())
 
 
-def clean_trips(
-    raw: np.ndarray,
-    space: StateSpace,
-    exclude_self_loops: bool = True,
-) -> tuple[np.ndarray, dict[str, int]]:
+def clean_trips(raw: np.ndarray, space: StateSpace) -> tuple[np.ndarray, dict[str, int]]:
     """Apply the cleaning filters to ``RAW_TRIP`` rows and map endpoints to tracts.
 
     Drops rows with a non-positive or non-finite odometer distance or duration,
     a non-positive passenger count, an endpoint outside the state space, and
-    (when ``exclude_self_loops``) rides that start and end in the same tract.
+    rides that start and end in the same tract.
     Returns the surviving trips in input order as (m, 3) int64 trip rows, plus
     a tally of the reasons that occurred, each row under the first it violates:
     ``len(rows) + sum(tally.values())`` always equals the input length.
@@ -120,7 +116,7 @@ def clean_trips(
         (REJECT_TIME, ~(np.isfinite(secs) & (secs > 0))),
         (REJECT_PASSENGERS, raw["passenger_count"] <= 0),
         (REJECT_OUT_OF_AREA, (tracts < 0).any(axis=1)),
-        (REJECT_SELF_LOOP, (tracts[:, 0] == tracts[:, 1]) & exclude_self_loops),
+        (REJECT_SELF_LOOP, tracts[:, 0] == tracts[:, 1]),
     )
     keep = np.ones(len(raw), dtype=bool)
     tally: dict[str, int] = {}

@@ -41,9 +41,7 @@ class TestDefaults:
         assert cfg.r == 7
         assert cfg.n == 10
         assert cfg.k_grid == (0.0, 1.0, 5.0, 10.0, 50.0, 100.0)
-        assert cfg.catalog.sigma_grid == (0.01, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
         assert cfg.seed == 42
-        assert cfg.exclude_self_loops is True
         assert cfg.max_iters == 500 and cfg.rel_tol == 1e-6
 
 
@@ -53,14 +51,11 @@ class TestConfigFile:
         path.write_text(
             "[paths]\ntracts = a.csv\ntrips = b.csv\noutput_dir = out\n"
             "[pipeline]\nr = 3\nn = 4\nk_grid = 0 10\nseed = 7\n"
-            "exclude_self_loops = false\n"
-            "[catalog]\nsigma_grid = 0.5\nlandmarks = spot 40.7 -74.0\n",
+            "[catalog]\nlandmarks = spot 40.7 -74.0\n",
             encoding="utf-8")
         cfg = load_config(path)
         assert cfg.r == 3 and cfg.n == 4 and cfg.seed == 7
         assert cfg.k_grid == (0.0, 10.0)
-        assert cfg.exclude_self_loops is False
-        assert cfg.catalog.sigma_grid == (0.5,)
         assert cfg.catalog.landmarks[0][0] == "spot"
         assert str(cfg.tracts) == "a.csv"
 
@@ -110,10 +105,8 @@ class TestConfigFile:
         ("[catalog]\nsigma_grid = 1 1\n", "sigma_grid"),
         ("[catalog]\nsigma_grid = 2, 0.5, 2\n", "sigma_grid"),
         ("[pipeline]\nk_grid = 1 nan\n", "k values"),
-        ("[catalog]\nsigma_grid = nan\n", "sigma values"),
         ("[pipeline]\nk_grid = 1 inf\n", "k values"),
-        ("[catalog]\nsigma_grid = inf\n", "sigma values"),
-        ("[catalog]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label"),
+        ("[catalog]\nsigma_grid = 1 1.0000001\n", "sigma_grid"),
     ])
     def test_bad_grid_rejected(self, tmp_path, text, message):
         path = tmp_path / "run.cfg"
@@ -132,17 +125,19 @@ class TestConfigFile:
     def test_repeated_override_grid_rejected(self):
         with pytest.raises(ConfigError, match="k_grid"):
             load_config(k_grid=(10.0, 10.0))
-        with pytest.raises(ConfigError, match="sigma_grid repeats"):
-            load_config(catalog=CatalogConfig(sigma_grid=(1.0, 1.0)))
+        with pytest.raises(ConfigError, match="landmarks repeats"):
+            load_config(catalog=CatalogConfig(landmarks=(("a", GeoPoint(1.0, 2.0)),) * 2))
 
     @pytest.mark.parametrize("text, overrides, expected", [
-        ("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n", {},
-         r"unknown key\(s\) in \[pipeline\]: sigma_grid"),
-        ("[pipeline]\nsigma_grid = 1 2\n", {}, r"unknown key\(s\) in \[pipeline\]: sigma_grid"),
-        ("[catalog]\nsigma_grid = 3 4\n", {}, (3.0, 4.0)),
-        ("[catalog]\nsigma_grid = 3\n", {"catalog": CatalogConfig(sigma_grid=(5.0,))}, (5.0,)),
+        ("[pipeline]\nlandmarks = a 1 2\n[catalog]\nlandmarks = b 3 4\n", {},
+         r"unknown key\(s\) in \[pipeline\]: landmarks"),
+        ("[pipeline]\nlandmarks = a 1 2\n", {}, r"unknown key\(s\) in \[pipeline\]: landmarks"),
+        ("[catalog]\nlandmarks = b 3 4\n", {}, (("b", GeoPoint(3.0, 4.0)),)),
+        ("[catalog]\nlandmarks = d 7 8\n",
+         {"catalog": CatalogConfig(landmarks=(("c", GeoPoint(5.0, 6.0)),))},
+         (("c", GeoPoint(5.0, 6.0)),)),
     ])
-    def test_sigma_grid_precedence(self, tmp_path, text, overrides, expected):
+    def test_landmarks_precedence(self, tmp_path, text, overrides, expected):
         path = tmp_path / "run.cfg"
         path.write_text(text, encoding="utf-8")
         if isinstance(expected, str):
@@ -150,20 +145,21 @@ class TestConfigFile:
                 load_config(path, **overrides)
             return
         cfg = load_config(path, **overrides)
-        assert cfg.catalog.sigma_grid == cfg.catalog_config().sigma_grid == expected
+        assert cfg.catalog.landmarks == cfg.catalog_config().landmarks == expected
 
-    def test_sigma_grid_has_one_home(self, tmp_path, capsys):
+    def test_landmarks_has_one_home(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
-        path.write_text("[pipeline]\nsigma_grid = 1 2\n[catalog]\nsigma_grid = 3\n",
+        path.write_text("[pipeline]\nlandmarks = a 1 2\n[catalog]\nlandmarks = b 3 4\n",
                         encoding="utf-8")
-        assert not hasattr(load_config(), "sigma_grid")
+        assert not hasattr(load_config(), "landmarks")
         assert main(["synth", "--config", str(path), "--output-dir", str(tmp_path / "fix")]) == 2
-        assert "sigma_grid" in capsys.readouterr().err and not (tmp_path / "fix").exists()
-        with pytest.raises(ConfigError, match="unknown config override 'sigma_grid'"):
-            load_config(sigma_grid=(5.0,))
+        assert "landmarks" in capsys.readouterr().err and not (tmp_path / "fix").exists()
+        with pytest.raises(ConfigError, match="unknown config override 'landmarks'"):
+            load_config(landmarks=(("c", GeoPoint(5.0, 6.0)),))
 
     @pytest.mark.parametrize("section, key, value", [
-        ("pipeline", "epsilon", "1e-12"), ("catalog", "unweighted_opportunities", "false")])
+        ("pipeline", "epsilon", "1e-12"), ("catalog", "unweighted_opportunities", "false"),
+        ("pipeline", "exclude_self_loops", "false"), ("catalog", "sigma_grid", "0.5")])
     def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "run.cfg"
         path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
@@ -193,16 +189,15 @@ class TestConfigFile:
         path.write_text(
             "[paths]\ntracts = t.csv\ntrips = u.csv\noutput_dir = o\n"
             "[pipeline]\nr = 3\nn = 4\nk_grid = 0, 2\nseed = 9\n"
-            "max_iters = 7\nrel_tol = 0.5\nexclude_self_loops = off\n"
-            "[catalog]\nlandmarks = a 1 2; b 3 4\nsigma_grid = 1 2\n",
+            "max_iters = 7\nrel_tol = 0.5\n"
+            "[catalog]\nlandmarks = a 1 2; b 3 4\n",
             encoding="utf-8")
         cfg = load_config(path)
         assert cfg == PipelineConfig(
             tracts=Path("t.csv"), trips=Path("u.csv"), output_dir=Path("o"), r=3, n=4,
-            k_grid=(0.0, 2.0), seed=9, max_iters=7, rel_tol=0.5, exclude_self_loops=False,
+            k_grid=(0.0, 2.0), seed=9, max_iters=7, rel_tol=0.5,
             catalog=CatalogConfig(
-                landmarks=(("a", GeoPoint(1.0, 2.0)), ("b", GeoPoint(3.0, 4.0))),
-                sigma_grid=(1.0, 2.0)))
+                landmarks=(("a", GeoPoint(1.0, 2.0)), ("b", GeoPoint(3.0, 4.0)))))
         for obj, default in ((cfg, PipelineConfig()), (cfg.catalog, CatalogConfig())):
             for f in fields(obj):
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
@@ -332,7 +327,7 @@ class TestCli:
     @pytest.mark.parametrize("args, text, key", [
         (["--k", "10", "--k", "10"], "", "k_grid"),
         ([], "[pipeline]\nk_grid =\n", "k_grid"),
-        ([], "[catalog]\nsigma_grid = 1 1\n", "sigma_grid"),
+        ([], "[catalog]\nsigma_grid = 1 1\n", "unknown key(s) in [catalog]: sigma_grid"),
         (["--k", "inf"], "", "k values"),
         ([], "[pipeline]\nseed = -1\n", "seed must be >= 0"),
         ([], "[pipeline]\nmax_iters = 0\n", "max_iters must be >= 1"),
@@ -342,7 +337,7 @@ class TestCli:
         ([], "[pipeline]\nepsilon = nan\n", "unknown key(s) in [pipeline]: epsilon"),
         ([], "[pipeline]\nepsilon = -1\n", "unknown key(s) in [pipeline]: epsilon"),
         ([], "[pipeline]\nepsilon = 0\n", "unknown key(s) in [pipeline]: epsilon"),
-        ([], "[catalog]\nsigma_grid = 1 1.0000001\n", "sigma_grid repeats the label(s) 1"),
+        ([], "[catalog]\nsigma_grid = 1 1.0000001\n", "unknown key(s) in [catalog]: sigma_grid"),
         ([], "[catalog]\nlandmarks = a 40.7 -74.0; b 40.8 -74.0; a 40.9 -74.0\n",
          "landmarks repeats the name(s) a"),
         ([], "[catalog]\nvenue_category_keys = venues_all venues_food\n",
@@ -359,6 +354,11 @@ class TestCli:
         ([], "[catalog]\nemployment_keys = pct_employed\n",
          "unknown key(s) in [catalog]: employment_keys"),
         ([], "[catalog]\nio_eps = 1e-9\n", "unknown key(s) in [catalog]: io_eps"),
+        ([], "[pipeline]\nexclude_self_loops = false\n",
+         "unknown key(s) in [pipeline]: exclude_self_loops"),
+        ([], "[catalog]\nsigma_grid = 0.5\n", "unknown key(s) in [catalog]: sigma_grid"),
+        ([], "[DEFAULT]\nr = 3\n", "unknown key(s) in [DEFAULT]: r"),
+        ([], "[pipeline]\nr = 3\n[DEFAULT]\nseed = 5\n", "unknown key(s) in [DEFAULT]: seed"),
     ])
     def test_bad_grid_fails_before_any_stage(self, mini_fixture, tmp_path, capsys,
                                              args, text, key):
@@ -368,6 +368,13 @@ class TestCli:
                        + text, encoding="utf-8")
         assert main(["pipeline", "--config", str(cfg), *args]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_flag_exits_2(self, mini_fixture, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--include-self-loops", "--config", str(mini_fixture / "mini.cfg"),
+                  "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2 and "--include-self-loops" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_zero_rel_tol_is_valid(self):
@@ -694,8 +701,9 @@ class TestStreamedRank:
         out = mini_copy.parent / "out"
         (out / "rankings.csv").unlink()
         cfg = load_config(mini_copy)  # load_config rejects the repeat; run_rank must too
-        cfg = replace(cfg, catalog=replace(cfg.catalog, sigma_grid=(1.0, 1.0000001)))
-        with pytest.raises(CatalogConfigError, match="proximity_sigma_1"):
+        name, _ = landmark = cfg.catalog.landmarks[0]
+        cfg = replace(cfg, catalog=CatalogConfig(landmarks=(landmark, landmark)))
+        with pytest.raises(CatalogConfigError, match=f"'centroid_{name}_sigma_0.01'"):
             run_rank(cfg)
         assert not (out / "rankings.csv").exists()
 

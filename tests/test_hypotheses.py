@@ -344,13 +344,16 @@ class TestCatalog:
             assert a.q.dtype == b.q.dtype and np.array_equal(a.q, b.q)
 
     def test_duplicate_name_raised_when_it_arrives(self, city_space):
-        config = CatalogConfig(sigma_grid=(1.0, 1.0000001))  # both labelled "1"
+        config = CatalogConfig(landmarks=DEFAULT_LANDMARKS[:1] * 2)  # one name, twice
         stream = iter_catalog(city_space, config)
         names = []
-        with pytest.raises(CatalogConfigError, match="'proximity_sigma_1'"):
+        with pytest.raises(CatalogConfigError, match="'centroid_manhattan_center_sigma_0.01'"):
             for h in stream:
                 names.append(h.name)
-        assert names == ["uniform", "inverse_distance", "proximity_sigma_1"]  # the twin is next
+        sigmas = [f"{sigma:g}" for sigma in DEFAULT_SIGMA_GRID]
+        assert names == ["uniform", "inverse_distance",  # the twin's first kernel is next
+                         *(f"proximity_sigma_{s}" for s in sigmas),
+                         *(f"centroid_manhattan_center_sigma_{s}" for s in sigmas)]
 
     def test_gravitational_pair_equal_after_row_normalization(self, grid_space):
         w = WeightVector("venues_all", grid_space.property_vector("venues_all"))
@@ -365,8 +368,8 @@ class TestCatalog:
         assert len(keys) == len(set(keys))
         assert "venues_nightlife" in keys and "pct_white" in keys
 
-    def test_only_landmarks_and_sigma_grid_are_settings(self):
-        assert [f.name for f in fields(CatalogConfig)] == ["landmarks", "sigma_grid"]
+    def test_only_landmarks_are_settings(self):
+        assert [f.name for f in fields(CatalogConfig)] == ["landmarks"]
 
     @pytest.mark.parametrize("key", ["all_venues_key", "checkins_key", "venue_category_keys",
                                      "census_indicator_keys", "race_keys", "poverty_keys",

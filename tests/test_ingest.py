@@ -69,12 +69,10 @@ def test_accepted_trip_fields(grid_space, centroids):
 
 def test_self_loop_flag(grid_space, centroids):
     records = [record(centroids[4], centroids[4])]
-    trips, tally = clean_trips(records, grid_space, exclude_self_loops=True)
+    trips, tally = clean_trips(records, grid_space)
     assert trips.tolist() == [] and tally == {"self_loop": 1}
-    trips, tally = clean_trips(records, grid_space, exclude_self_loops=False)
-    assert len(trips) == 1 and tally == {}
-    trip = Trip(*trips[0].tolist())
-    assert trip.pickup_tract == trip.dropoff_tract == 4
+    with pytest.raises(TypeError, match="exclude_self_loops"):  # the rule is fixed
+        clean_trips(records, grid_space, exclude_self_loops=False)
 
 
 def test_empty_input(grid_space):
@@ -281,7 +279,7 @@ class TestTripFiles:
 # --- the per-record loader and cleaner that the RAW_TRIP path replaced, kept as its oracle
 
 
-def per_record_ingest(path, space, exclude_self_loops=True):
+def per_record_ingest(path, space):
     """Rows, tally and input count as the per-record loader, cleaner and CLI produced them."""
     records, malformed = [], 0
     with open(path, newline="", encoding="utf-8") as fh:
@@ -314,7 +312,7 @@ def per_record_ingest(path, space, exclude_self_loops=True):
             a, b = scalar_locate(pickup, space), scalar_locate(dropoff, space)
             if a is None or b is None:
                 tally["out_of_area"] += 1
-            elif exclude_self_loops and a == b:
+            elif a == b:
                 tally["self_loop"] += 1
             else:
                 trips.append([hour_of_week(when), a, b])
@@ -323,9 +321,9 @@ def per_record_ingest(path, space, exclude_self_loops=True):
     return trips, dict(tally), len(records) + malformed
 
 
-def columnar_ingest(path, space, exclude_self_loops=True):
+def columnar_ingest(path, space):
     raw, malformed = load_raw_trips(path)
-    trips, tally = clean_trips(raw, space, exclude_self_loops=exclude_self_loops)
+    trips, tally = clean_trips(raw, space)
     if malformed:
         tally["malformed"] = malformed
     return trips.tolist(), tally, len(raw) + malformed
@@ -364,13 +362,11 @@ class TestPerRecordOracle:
 
     @given(st.lists(st.builds(dirty_row, *(st.sampled_from(DIRTY_MENUS[key]) for key in (
                "when", "end", "end", "distance", "secs", "passengers", "length"))),
-               max_size=40),
-           st.booleans())
-    def test_dirty_rows(self, tmp_path_factory, rows, exclude_self_loops):
+               max_size=40))
+    def test_dirty_rows(self, tmp_path_factory, rows):
         path = tmp_path_factory.getbasetemp() / "dirty_rows.csv"
         write_raw(path, rows)
-        assert (columnar_ingest(path, DIRTY_SPACE, exclude_self_loops)
-                == per_record_ingest(path, DIRTY_SPACE, exclude_self_loops))
+        assert columnar_ingest(path, DIRTY_SPACE) == per_record_ingest(path, DIRTY_SPACE)
 
     def test_dirty_file(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -277,9 +277,10 @@ def test_trips_file_roundtrip(tmp_path, grid_space):
     space = load_tracts(tmp_path / "tracts.csv")
     records, malformed = load_raw_trips(tmp_path / "trips.csv")
     assert malformed == 0
-    cleaned, tally = clean_trips(records, space, exclude_self_loops=False)
-    assert tally == {}
-    assert [Trip(*row) for row in cleaned.tolist()] == trips
+    cleaned, tally = clean_trips(records, space)
+    moves = [t for t in trips if t.pickup_tract != t.dropoff_tract]
+    assert len(moves) < len(trips) and tally == {"self_loop": len(trips) - len(moves)}
+    assert [Trip(*row) for row in cleaned.tolist()] == moves
 
 
 def per_row_trips_file(path, trips, space):
